@@ -14,8 +14,11 @@
 // internal/catalog): <root>/<provider>/<version>/<store files>, the same
 // trees cmd/synthgen writes, cmd/rootstore exports into, and trustd -watch
 // serves from. rootwatch ingests the whole tree first — replaying each
-// provider's history into the event log chronologically — then polls for
-// new or modified snapshot directories until interrupted.
+// provider's history into the event log chronologically — then watches
+// for new or modified snapshot directories until interrupted (inotify on
+// local Linux filesystems, so each change costs a re-stat of the
+// directories it touched; elsewhere the whole tree is stat-walked every
+// -interval).
 //
 // -once ingests, optionally replays, prints the responsiveness table and
 // exits (cron-friendly). -jsonl makes the event log durable and resumable
@@ -48,7 +51,7 @@ import (
 
 func main() {
 	tree := flag.String("tree", "", "snapshot tree to watch (<provider>/<version>/ directories)")
-	interval := flag.Duration("interval", tracker.DefaultInterval, "poll cadence")
+	interval := flag.Duration("interval", tracker.DefaultInterval, "poll cadence (with inotify, the backstop that re-checks settling directories)")
 	settle := flag.Duration("settle", 2*time.Second, "quiescence a new snapshot dir needs before ingest")
 	once := flag.Bool("once", false, "ingest, report and exit instead of polling")
 	replay := flag.Bool("replay", false, "print the events of the initial historical ingest too")
@@ -84,8 +87,9 @@ func main() {
 	// Rescan traces (scan → parse/splice → classify) land in this ring,
 	// served on -debug-addr alongside pprof.
 	tracer := obs.NewTracer(obs.Options{Logger: logger})
+	src := tracker.NewDirSource(*tree, *settle)
 	trk, err := tracker.New(tracker.Config{
-		Source:   tracker.NewDirSource(*tree, *settle),
+		Source:   src,
 		Catalog:  catalog.Options{ArchivePath: *archivePath},
 		Interval: *interval,
 		Log:      log,
@@ -122,7 +126,11 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		go trk.Run(ctx)
-		logger.Info("watching", "tree", *tree, "interval", *interval)
+		st := src.SourceStats()
+		logger.Info("watching", "tree", *tree, "interval", *interval, "inotify", st.Inotify)
+		if st.PollReason != "" {
+			logger.Warn("inotify unavailable; polling the whole tree", "reason", st.PollReason)
+		}
 		replayed := trk.LastSeq()
 	tail:
 		for {
@@ -233,7 +241,9 @@ func runSmoke(logger *slog.Logger) int {
 		return 1
 	}
 
-	trk, err := tracker.New(tracker.Config{Source: tracker.NewDirSource(root, 0), Logger: logger})
+	src := tracker.NewDirSource(root, 0)
+	defer src.Close()
+	trk, err := tracker.New(tracker.Config{Source: src, Logger: logger})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rootwatch: smoke: %v\n", err)
 		return 1

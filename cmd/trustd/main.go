@@ -31,10 +31,12 @@
 // Snapshot REFs are "Provider" (latest, or in force at ?at=) or
 // "Provider@Version". The server drains connections on SIGINT/SIGTERM.
 //
-// With -watch (requires -tree), trustd keeps polling the tree and
-// hot-swaps the serving database whenever a snapshot directory appears or
-// changes — in-flight requests finish on the old database, new ones see
-// the new one, and every change becomes a classified event on /v1/events.
+// With -watch (requires -tree), trustd keeps watching the tree (inotify
+// on local Linux filesystems, polling elsewhere) and hot-swaps the serving
+// database whenever a snapshot directory appears or changes — in-flight
+// requests finish on the old database, new ones see the new one, and
+// every change becomes a classified event on /v1/events. A reload re-reads
+// only the changed directories.
 //
 // -debug-addr starts a second, private listener with net/http/pprof, the
 // process expvar tree and /debug/traces — diagnostics that do not belong
@@ -77,8 +79,8 @@ func main() {
 	batchWorkers := flag.Int("batch-workers", 0, "per-batch pipeline workers for /v1/verify/batch (0 = same as -workers)")
 	cacheSize := flag.Int("verdict-cache", service.DefaultVerdictCacheSize, "verdict LRU capacity")
 	logJSON := flag.Bool("log-json", false, "emit JSON logs instead of text")
-	watch := flag.Bool("watch", false, "keep polling -tree and hot-reload on snapshot changes")
-	pollInterval := flag.Duration("poll-interval", tracker.DefaultInterval, "tree poll cadence with -watch")
+	watch := flag.Bool("watch", false, "keep watching -tree and hot-reload on snapshot changes")
+	pollInterval := flag.Duration("poll-interval", tracker.DefaultInterval, "tree poll cadence with -watch (with inotify, the backstop that re-checks settling directories)")
 	settle := flag.Duration("settle", 2*time.Second, "how long a new snapshot dir must be quiescent before ingest")
 	eventsJSONL := flag.String("events-jsonl", "", "append change events to this JSONL file (with -watch)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /debug/traces on this private address (off when empty)")
@@ -120,7 +122,9 @@ func main() {
 	tracer := obs.NewTracer(obs.Options{Logger: logger})
 
 	var db *store.Database
+	var dbHash [archive.HashLen]byte // archive.HashDatabase(db) when known for free
 	var trk *tracker.Tracker
+	var src *tracker.DirSource // the watched tree, with -watch
 	var rep *cluster.Replica
 	var repManifest cluster.Manifest
 	switch {
@@ -133,18 +137,22 @@ func main() {
 		}
 	case *watch:
 		var err error
-		trk, db, err = startTracker(*tree, *archivePath, *pollInterval, *settle, *eventsJSONL, tracer, logger)
+		src = tracker.NewDirSource(*tree, *settle)
+		trk, db, err = startTracker(src, *archivePath, *pollInterval, *eventsJSONL, tracer, logger)
 		if err != nil {
 			logger.Error("start tracker", "err", err)
 			os.Exit(1)
 		}
 	default:
 		var err error
-		db, err = loadDatabase(*seed, *tree, *archivePath, logger)
+		db, dbHash, err = loadDatabase(*seed, *tree, *archivePath, logger)
 		if err != nil {
 			logger.Error("load database", "err", err)
 			os.Exit(1)
 		}
+	}
+	if trk != nil {
+		dbHash, _ = trk.DatabaseHash()
 	}
 
 	srv := service.New(db, service.Config{
@@ -155,6 +163,7 @@ func main() {
 		VerdictCacheSize: *cacheSize,
 		Logger:           logger,
 		Tracer:           tracer,
+		DatabaseHash:     dbHash,
 	})
 	expvar.Publish("trustd", srv.Metrics().Map())
 
@@ -193,7 +202,11 @@ func main() {
 		srv.AttachEvents(trk)
 		watchSrv.Store(srv)
 		go trk.Run(ctx)
-		logger.Info("watching", "tree", *tree, "interval", *pollInterval)
+		st := src.SourceStats()
+		logger.Info("watching", "tree", *tree, "interval", *pollInterval, "inotify", st.Inotify)
+		if st.PollReason != "" {
+			logger.Warn("inotify unavailable; polling the whole tree", "reason", st.PollReason)
+		}
 	}
 	if *debugAddr != "" {
 		go runDebugServer(ctx, *debugAddr, tracer, logger)
@@ -242,9 +255,10 @@ var clusterOrigin atomic.Pointer[cluster.Origin]
 // reloadFleet installs a freshly ingested database: with -origin it is
 // first compiled and published so the manifest, the fleet, and the local
 // server all advance to the identical generation; otherwise it is a plain
-// local hot swap. Publish failures fall back to the local swap — the
+// local hot swap, tagged with the database hash the tracker learned from
+// its sidecar compile. Publish failures fall back to the local swap — the
 // origin node must keep serving fresh data even if encoding breaks.
-func reloadFleet(db *store.Database, logger *slog.Logger) {
+func reloadFleet(db *store.Database, dbHash [archive.HashLen]byte, logger *slog.Logger) {
 	if o := clusterOrigin.Load(); o != nil {
 		m, err := o.Publish(context.Background(), db, [archive.HashLen]byte{})
 		if err == nil {
@@ -260,7 +274,7 @@ func reloadFleet(db *store.Database, logger *slog.Logger) {
 		logger.Warn("publish reloaded archive", "err", err)
 	}
 	if s := watchSrv.Load(); s != nil {
-		s.Swap(db)
+		s.SwapHashed(db, dbHash)
 	}
 }
 
@@ -301,7 +315,7 @@ func startReplica(ctx context.Context, originURL, cacheDir string, interval, wai
 // startTracker builds the tracker over the tree, performs the initial
 // ingest (replaying history into the event log) and returns the first
 // database to serve.
-func startTracker(tree, archivePath string, interval, settle time.Duration, eventsPath string, tracer *obs.Tracer, logger *slog.Logger) (*tracker.Tracker, *store.Database, error) {
+func startTracker(src *tracker.DirSource, archivePath string, interval time.Duration, eventsPath string, tracer *obs.Tracer, logger *slog.Logger) (*tracker.Tracker, *store.Database, error) {
 	var log *tracker.Log
 	if eventsPath != "" {
 		var err error
@@ -311,13 +325,13 @@ func startTracker(tree, archivePath string, interval, settle time.Duration, even
 		}
 	}
 	trk, err := tracker.New(tracker.Config{
-		Source:   tracker.NewDirSource(tree, settle),
-		Catalog:  catalog.Options{ArchivePath: archivePath},
-		Interval: interval,
-		Log:      log,
-		Logger:   logger,
-		Tracer:   tracer,
-		OnReload: func(db *store.Database) { reloadFleet(db, logger) },
+		Source:       src,
+		Catalog:      catalog.Options{ArchivePath: archivePath},
+		Interval:     interval,
+		Log:          log,
+		Logger:       logger,
+		Tracer:       tracer,
+		OnReloadHash: func(db *store.Database, dbHash [archive.HashLen]byte) { reloadFleet(db, dbHash, logger) },
 	})
 	if err != nil {
 		return nil, nil, err
@@ -325,38 +339,58 @@ func startTracker(tree, archivePath string, interval, settle time.Duration, even
 	start := time.Now()
 	n, err := trk.Rescan()
 	if err != nil {
-		return nil, nil, fmt.Errorf("initial ingest of %s: %w", tree, err)
+		return nil, nil, fmt.Errorf("initial ingest of %s: %w", src.Root(), err)
 	}
-	logger.Info("tree ingested", "dir", tree, "snapshots", n,
+	logger.Info("tree ingested", "dir", src.Root(), "snapshots", n,
 		"events", trk.LastSeq(), "elapsed", time.Since(start).Round(time.Millisecond))
 	return trk, trk.Database(), nil
 }
 
-func loadDatabase(seed, tree, archivePath string, logger *slog.Logger) (*store.Database, error) {
+// loadDatabase builds the database to serve, plus its archive database
+// hash when the load learned it for free (a tree's sidecar), else zero.
+func loadDatabase(seed, tree, archivePath string, logger *slog.Logger) (*store.Database, [archive.HashLen]byte, error) {
+	var none [archive.HashLen]byte
 	start := time.Now()
 	if tree != "" {
 		db, info, err := catalog.LoadTreeInfo(tree, catalog.Options{ArchivePath: archivePath})
 		if err != nil {
-			return nil, fmt.Errorf("ingest %s: %w", tree, err)
+			return nil, none, fmt.Errorf("ingest %s: %w", tree, err)
 		}
 		logger.Info("tree ingested", "dir", tree, "from_archive", info.FromArchive,
 			"snapshots", db.TotalSnapshots(), "elapsed", time.Since(start).Round(time.Millisecond))
-		return db, nil
+		return db, info.DatabaseHash, nil
 	}
 	if archivePath != "" {
-		db, err := archive.ReadFile(archivePath)
+		db, dbHash, err := readArchive(archivePath)
 		if err != nil {
-			return nil, fmt.Errorf("read archive %s: %w", archivePath, err)
+			return nil, none, fmt.Errorf("read archive %s: %w", archivePath, err)
 		}
 		logger.Info("archive loaded", "path", archivePath,
 			"snapshots", db.TotalSnapshots(), "elapsed", time.Since(start).Round(time.Millisecond))
-		return db, nil
+		return db, dbHash, nil
 	}
 	eco, err := synth.Cached(seed)
 	if err != nil {
-		return nil, fmt.Errorf("generate ecosystem: %w", err)
+		return nil, none, fmt.Errorf("generate ecosystem: %w", err)
 	}
 	logger.Info("ecosystem generated", "seed", seed,
 		"snapshots", eco.DB.TotalSnapshots(), "elapsed", time.Since(start).Round(time.Millisecond))
-	return eco.DB, nil
+	return eco.DB, none, nil
+}
+
+// readArchive decodes a rootpack and reads its database hash off the same
+// bytes.
+func readArchive(path string) (*store.Database, [archive.HashLen]byte, error) {
+	var none [archive.HashLen]byte
+	r, err := archive.Open(path)
+	if err != nil {
+		return nil, none, err
+	}
+	defer r.Close()
+	db, err := r.Database()
+	if err != nil {
+		return nil, none, err
+	}
+	dbHash, err := r.DatabaseHash()
+	return db, dbHash, err
 }

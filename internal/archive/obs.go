@@ -16,14 +16,21 @@ import (
 // WriteFileCtx is WriteFile wrapped in an "archive.compile" span carrying
 // the snapshot count and output size.
 func WriteFileCtx(ctx context.Context, path string, db *store.Database, sourceHash [HashLen]byte) ([HashLen]byte, error) {
+	hs, err := WriteFileHashesCtx(ctx, path, db, sourceHash)
+	return hs.Content, err
+}
+
+// WriteFileHashesCtx is WriteFileCtx returning both of the archive's
+// hashes (see encodeHashes).
+func WriteFileHashesCtx(ctx context.Context, path string, db *store.Database, sourceHash [HashLen]byte) (Hashes, error) {
 	_, span := obs.StartSpan(ctx, "archive.compile")
 	defer span.End()
 	span.SetAttr("snapshots", strconv.Itoa(db.TotalSnapshots()))
-	hash, err := WriteFile(path, db, sourceHash)
+	hs, err := writeFile(path, db, sourceHash)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 	}
-	return hash, err
+	return hs, err
 }
 
 // DatabaseCtx is Database wrapped in an "archive.decode" span carrying

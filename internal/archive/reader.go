@@ -502,6 +502,33 @@ func (r *Reader) VerifyContentHash() error {
 	return nil
 }
 
+// DatabaseHash returns the content hash the archive's database encodes to
+// under a zero source hash — HashDatabase's value — from the file's bytes
+// alone: the same stream with the footer's source hash zeroed. It checks
+// the recorded content hash on the way, so a damaged file yields an error,
+// never a wrong hash. The two agree whenever the archive is canonically
+// encoded, as every archive this package writes is (Verify proves it for
+// any other).
+func (r *Reader) DatabaseHash() ([HashLen]byte, error) {
+	var out [HashLen]byte
+	prefix := r.size - trailerLen - 2*HashLen // everything before the source hash
+	h := sha256.New()
+	if _, err := io.Copy(h, io.NewSectionReader(r.r, 0, prefix)); err != nil {
+		return out, fmt.Errorf("archive: database hash: %w", err)
+	}
+	out, err := forkSum(h, [HashLen]byte{})
+	if err != nil {
+		return out, err
+	}
+	h.Write(r.sourceHash[:])
+	var content [HashLen]byte
+	h.Sum(content[:0])
+	if content != r.contentHash {
+		return [HashLen]byte{}, corruptf("content hash mismatch: file hashes to %x, footer says %x", content[:8], r.contentHash[:8])
+	}
+	return out, nil
+}
+
 // Verify runs the full integrity audit `rootpack verify` performs:
 // recompute the whole-archive content hash, checksum every section, decode
 // the database, re-encode it, and demand the bytes round-trip to the same

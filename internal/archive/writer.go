@@ -5,6 +5,7 @@ package archive
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"fmt"
 	"hash"
 	"io"
@@ -28,10 +29,29 @@ var trustPlanes = []store.TrustLevel{store.Trusted, store.MustVerify, store.Dist
 // the footer for staleness checks. Encoding is deterministic: semantically
 // equal databases yield byte-identical archives.
 func Encode(w io.Writer, db *store.Database, sourceHash [HashLen]byte) ([HashLen]byte, error) {
-	var zero [HashLen]byte
+	hs, err := encodeHashes(w, db, sourceHash)
+	return hs.Content, err
+}
+
+// Hashes are the two identities one encoding pass yields.
+type Hashes struct {
+	// Content is the archive's content hash, recorded in its footer; it
+	// covers the source hash.
+	Content [HashLen]byte
+	// Database is the content hash the same database encodes to under a
+	// zero source hash — HashDatabase's value, the serving layer's entity
+	// tag — so a caller that compiles a sidecar learns the tag for free.
+	Database [HashLen]byte
+}
+
+// encodeHashes is Encode returning both of the archive's hashes. The
+// source hash is the last thing the content hash covers, so the database
+// hash is a fork of the same SHA-256 state rather than a second encode.
+func encodeHashes(w io.Writer, db *store.Database, sourceHash [HashLen]byte) (Hashes, error) {
+	var hs Hashes
 	pool, ids, err := buildPool(db)
 	if err != nil {
-		return zero, err
+		return hs, err
 	}
 
 	sections := []struct {
@@ -56,7 +76,7 @@ func Encode(w io.Writer, db *store.Database, sourceHash [HashLen]byte) ([HashLen
 	hdr.buf = append(hdr.buf, magic...)
 	hdr.u32(formatVersion)
 	if _, err := tee.Write(hdr.buf); err != nil {
-		return zero, err
+		return hs, err
 	}
 
 	var table enc
@@ -68,49 +88,73 @@ func Encode(w io.Writer, db *store.Database, sourceHash [HashLen]byte) ([HashLen
 		table.u64(uint64(len(s.data)))
 		table.buf = append(table.buf, sum[:]...)
 		if _, err := tee.Write(s.data); err != nil {
-			return zero, err
+			return hs, err
 		}
 	}
-	table.buf = append(table.buf, sourceHash[:]...)
-	footerLen := len(table.buf) + HashLen + 8 + 4
+	footerLen := len(table.buf) + HashLen + HashLen + 8 + 4
 	if _, err := tee.Write(table.buf); err != nil {
-		return zero, err
+		return hs, err
 	}
-
-	var contentHash [HashLen]byte
-	h.Sum(contentHash[:0])
+	if hs.Database, err = forkSum(h, [HashLen]byte{}); err != nil {
+		return hs, err
+	}
+	if _, err := tee.Write(sourceHash[:]); err != nil {
+		return hs, err
+	}
+	h.Sum(hs.Content[:0])
 
 	var trailer enc
-	trailer.buf = append(trailer.buf, contentHash[:]...)
+	trailer.buf = append(trailer.buf, hs.Content[:]...)
 	trailer.u64(uint64(footerLen))
 	trailer.buf = append(trailer.buf, trailerMagic...)
 	if _, err := w.Write(trailer.buf); err != nil {
-		return zero, err
+		return hs, err
 	}
-	return contentHash, nil
+	return hs, nil
+}
+
+// forkSum returns the digest h would produce after also absorbing tail,
+// leaving h itself untouched.
+func forkSum(h hash.Hash, tail [HashLen]byte) ([HashLen]byte, error) {
+	var out [HashLen]byte
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return out, err
+	}
+	fork := sha256.New()
+	if err := fork.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		return out, err
+	}
+	fork.Write(tail[:])
+	fork.Sum(out[:0])
+	return out, nil
 }
 
 // WriteFile encodes db to path atomically (temp file + rename in the same
 // directory) and returns the content hash.
 func WriteFile(path string, db *store.Database, sourceHash [HashLen]byte) ([HashLen]byte, error) {
-	var zero [HashLen]byte
+	hs, err := writeFile(path, db, sourceHash)
+	return hs.Content, err
+}
+
+func writeFile(path string, db *store.Database, sourceHash [HashLen]byte) (Hashes, error) {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
-		return zero, fmt.Errorf("archive: %w", err)
+		return Hashes{}, fmt.Errorf("archive: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	contentHash, err := Encode(tmp, db, sourceHash)
+	hs, err := encodeHashes(tmp, db, sourceHash)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return zero, fmt.Errorf("archive: write %s: %w", path, err)
+		return Hashes{}, fmt.Errorf("archive: write %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return zero, fmt.Errorf("archive: %w", err)
+		return Hashes{}, fmt.Errorf("archive: %w", err)
 	}
-	return contentHash, nil
+	return hs, nil
 }
 
 // HashDatabase returns the content hash db would encode to — the

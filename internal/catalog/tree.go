@@ -35,7 +35,8 @@ const (
 // DefaultArchiveName is the sidecar file LoadTree maintains at the tree
 // root when Options.ArchivePath is empty. It is a plain file, so tree
 // scanners (which only descend provider directories) never mistake it for
-// a provider.
+// a provider; nor the directory digests saved beside it, under the same
+// name plus ".digests".
 const DefaultArchiveName = ".rootpack"
 
 // TreeInfo reports how a tree was loaded.
@@ -50,6 +51,13 @@ type TreeInfo struct {
 	// ContentHash is the archive content hash of the loaded database, when
 	// known (read from or written to the sidecar).
 	ContentHash [archive.HashLen]byte
+	// DatabaseHash is archive.HashDatabase of the loaded database, when
+	// known (zero otherwise): read off the sidecar's bytes, or forked from
+	// the compile that wrote it, never by a separate encode.
+	DatabaseHash [archive.HashLen]byte
+	// Digest holds the directory digests behind TreeHash (nil under
+	// ArchiveOff), ready for RefreshArchiveDigestCtx.
+	Digest *TreeDigest
 }
 
 // versionJob is one version directory scheduled for ingestion.
@@ -59,6 +67,8 @@ type versionJob struct {
 	dir      string
 	date     time.Time
 }
+
+func (j versionJob) key() string { return j.provider + "/" + j.version }
 
 // listVersionDirs enumerates the tree's version directories in the
 // deterministic (provider, version) lexical order every loader shares.
@@ -99,33 +109,9 @@ func listVersionDirs(root string) ([]versionJob, error) {
 func loadJobs(jobs []versionJob, opts Options) (*store.Database, error) {
 	snaps := make([]*store.Snapshot, len(jobs))
 	errs := make([]error, len(jobs))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					snaps[i], _, errs[i] = LoadSnapshot(jobs[i].dir, jobs[i].provider, jobs[i].version, jobs[i].date, opts)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			snaps[i], _, errs[i] = LoadSnapshot(jobs[i].dir, jobs[i].provider, jobs[i].version, jobs[i].date, opts)
-		}
-	}
+	parallelFor(len(jobs), func(i int) {
+		snaps[i], _, errs[i] = LoadSnapshot(jobs[i].dir, jobs[i].provider, jobs[i].version, jobs[i].date, opts)
+	})
 
 	db := store.NewDatabase()
 	for i, j := range jobs {
@@ -139,31 +125,187 @@ func loadJobs(jobs []versionJob, opts Options) (*store.Database, error) {
 	return db, nil
 }
 
+// parallelFor calls fn for every index in [0, n) on up to GOMAXPROCS
+// goroutines and returns when all calls have.
+func parallelFor(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
 // TreeHash computes the content hash of a snapshot tree: every provider,
 // version, resolved snapshot date, file name, size and byte of content, in
 // the same deterministic order the loader ingests. It is the staleness key
 // a sidecar archive records as its source hash — any change that could
 // alter the loaded database changes the hash.
+//
+// The hash is a two-level Merkle tree: each version directory's files hash
+// to a directory digest (GOMAXPROCS directories at a time), and the tree
+// hash covers every directory's provider, version, date and digest. A
+// TreeDigest keeps the directory digests between calls, so rehashing after
+// a change reads only the directories that changed.
 func TreeHash(root string) ([archive.HashLen]byte, error) {
-	jobs, err := listVersionDirs(root)
+	return NewTreeDigest(root).Hash()
+}
+
+// TreeDigest is a tree hash that remembers its directory digests. Hash
+// reuses the digest of every version directory still present, and reads
+// only the rest. It is not safe for concurrent use.
+//
+// A remembered digest describes the directory as it was read, so the
+// caller rereads exactly the directories it re-parses, just before it
+// parses them: a digest is then never newer than the parse the caller
+// holds, and a sidecar written under the resulting hash never claims
+// content its database lacks. A change the caller never re-parsed surfaces
+// at the next cold start as a hash mismatch, that is, as a re-parse, never
+// as a stale load.
+//
+// The digests LoadTreeInfo computes persist beside the sidecar (see
+// digests.go), so a cold start re-reads only directories whose files'
+// stat data moved since they were digested.
+type TreeDigest struct {
+	root   string
+	path   string               // where the digests persist; "" keeps them in memory
+	dirs   map[string]dirDigest // "provider/version" → digest
+	saved  map[string]dirDigest // read from path; each trusted once its stamp re-checks
+	hashed int                  // directories read over the digest's life
+	dirty  bool                 // dirs changed since they were last saved
+}
+
+// NewTreeDigest returns an empty digest cache over the tree at root.
+func NewTreeDigest(root string) *TreeDigest {
+	return &TreeDigest{root: root, dirs: make(map[string]dirDigest)}
+}
+
+// Reread digests one version directory again now. A caller about to
+// re-parse the directory rereads it first, so a write landing between the
+// two leaves the digest older than the parse — a stale sidecar the next
+// cold start catches — never newer. A directory that cannot be read is
+// forgotten, and read at the next Hash.
+func (d *TreeDigest) Reread(provider, version string) {
+	key := provider + "/" + version
+	delete(d.saved, key)
+	d.dirty = true
+	dd, err := digestDir(filepath.Join(d.root, provider, version))
+	if err != nil {
+		delete(d.dirs, key)
+		return
+	}
+	d.dirs[key] = dd
+	d.hashed++
+}
+
+// Hashed reports how many directory digests the cache has computed.
+func (d *TreeDigest) Hashed() int { return d.hashed }
+
+// Hash returns the tree hash, reading only the version directories whose
+// digest is not remembered. Directories gone from the tree are forgotten.
+// With a persistence path, changed digests are saved (best-effort: a
+// read-only tree only loses the shortcut at its next cold start).
+func (d *TreeDigest) Hash() ([archive.HashLen]byte, error) {
+	jobs, err := listVersionDirs(d.root)
 	if err != nil {
 		return [archive.HashLen]byte{}, err
 	}
-	return treeHashJobs(jobs)
+	return d.hashJobs(jobs)
 }
 
-func treeHashJobs(jobs []versionJob) ([archive.HashLen]byte, error) {
-	var zero [archive.HashLen]byte
+func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) {
+	var out [archive.HashLen]byte
+	var missing []int
+	live := make(map[string]bool, len(jobs))
+	for i, j := range jobs {
+		live[j.key()] = true
+		if _, ok := d.dirs[j.key()]; !ok {
+			missing = append(missing, i)
+		}
+	}
+	changed := d.dirty
+	for key := range d.dirs {
+		if !live[key] {
+			delete(d.dirs, key)
+			changed = true
+		}
+	}
+	digests := make([]dirDigest, len(missing))
+	read := make([]bool, len(missing))
+	errs := make([]error, len(missing))
+	parallelFor(len(missing), func(i int) {
+		j := jobs[missing[i]]
+		if saved, ok := d.saved[j.key()]; ok && saved.stillValid(j.dir) {
+			digests[i] = saved
+			return
+		}
+		digests[i], errs[i] = digestDir(j.dir)
+		read[i] = true
+	})
+	reused := 0
+	for i, idx := range missing {
+		if errs[i] != nil {
+			return out, errs[i]
+		}
+		d.dirs[jobs[idx].key()] = digests[i]
+		if read[i] {
+			d.hashed++
+			changed = true
+		} else {
+			reused++
+		}
+	}
+	if reused != len(d.saved) {
+		changed = true // saved digests of directories gone or changed
+	}
+	d.saved = nil
+
 	h := sha256.New()
 	for _, j := range jobs {
 		fmt.Fprintf(h, "s\x00%s\x00%s\x00%d:%d\x00", j.provider, j.version, j.date.Unix(), j.date.Nanosecond())
-		if err := hashDir(h, j.dir, 1); err != nil {
-			return zero, err
-		}
+		digest := d.dirs[j.key()]
+		h.Write(digest.sum[:])
 	}
-	var out [archive.HashLen]byte
 	h.Sum(out[:0])
+	if changed && d.path != "" && d.save() == nil {
+		d.dirty = false
+	}
 	return out, nil
+}
+
+// digestDir hashes one version directory's files, the unit a tree hash is
+// built from, stamping it with their stat data first.
+func digestDir(dir string) (dirDigest, error) {
+	dd := dirDigest{taken: time.Now().UnixNano()}
+	// A directory that cannot be stamped keeps the zero stamp, which is
+	// never trusted from disk; hashDir reports any real read failure.
+	dd.stamp, dd.newest, _ = statStamp(dir)
+	h := sha256.New()
+	if err := hashDir(h, dir, 1); err != nil {
+		return dd, err
+	}
+	h.Sum(dd.sum[:0])
+	return dd, nil
 }
 
 // hashDir feeds dir's files (and one nested directory level — the deepest
@@ -247,16 +389,17 @@ func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Dat
 	}
 	_, hashSpan := obs.StartSpan(ctx, "catalog.hash_tree")
 	hashSpan.SetAttr("dirs", strconv.Itoa(len(jobs)))
-	th, err := treeHashJobs(jobs)
+	info.Digest = openTreeDigest(root, info.ArchivePath+digestsSuffix)
+	th, err := info.Digest.hashJobs(jobs)
 	hashSpan.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	info.TreeHash = th
 
-	if db, contentHash, ok := tryArchive(ctx, info.ArchivePath, th); ok {
+	if db, hs, ok := tryArchive(ctx, info.ArchivePath, th); ok {
 		info.FromArchive = true
-		info.ContentHash = contentHash
+		info.ContentHash, info.DatabaseHash = hs.Content, hs.Database
 		return db, info, nil
 	}
 
@@ -266,8 +409,8 @@ func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Dat
 	}
 	// Compile-on-ingest: cache what we just parsed. Best-effort — a
 	// read-only tree still loads, it just stays on the slow path.
-	if contentHash, werr := archive.WriteFileCtx(ctx, info.ArchivePath, db, th); werr == nil {
-		info.ContentHash = contentHash
+	if hs, werr := archive.WriteFileHashesCtx(ctx, info.ArchivePath, db, th); werr == nil {
+		info.ContentHash, info.DatabaseHash = hs.Content, hs.Database
 	}
 	return db, info, nil
 }
@@ -287,21 +430,25 @@ func loadJobsCtx(ctx context.Context, jobs []versionJob, opts Options) (*store.D
 // tryArchive loads a sidecar if it exists and matches the tree hash. Any
 // failure — missing file, stale source hash, corruption, I/O error — is a
 // cache miss, never an error: the native parsers are the fallback.
-func tryArchive(ctx context.Context, path string, want [archive.HashLen]byte) (*store.Database, [archive.HashLen]byte, bool) {
-	var zero [archive.HashLen]byte
+func tryArchive(ctx context.Context, path string, want [archive.HashLen]byte) (*store.Database, archive.Hashes, bool) {
+	var hs archive.Hashes
 	r, err := archive.Open(path)
 	if err != nil {
-		return nil, zero, false
+		return nil, hs, false
 	}
 	defer r.Close()
 	if r.SourceHash() != want {
-		return nil, zero, false
+		return nil, hs, false
 	}
 	db, err := r.DatabaseCtx(ctx)
 	if err != nil {
-		return nil, zero, false
+		return nil, hs, false
 	}
-	return db, r.ContentHash(), true
+	if hs.Database, err = r.DatabaseHash(); err != nil {
+		return nil, hs, false
+	}
+	hs.Content = r.ContentHash()
+	return db, hs, true
 }
 
 // RefreshArchive recompiles the sidecar archive for root from an
@@ -314,19 +461,32 @@ func RefreshArchive(root string, db *store.Database, opts Options) error {
 // RefreshArchiveCtx is RefreshArchive with the tree hash and compile
 // recorded as spans of the surrounding trace.
 func RefreshArchiveCtx(ctx context.Context, root string, db *store.Database, opts Options) error {
+	_, err := RefreshArchiveDigestCtx(ctx, root, db, NewTreeDigest(root), opts)
+	return err
+}
+
+// RefreshArchiveDigestCtx is RefreshArchiveCtx hashing the tree through d,
+// so only directories d does not remember are read — an incremental
+// reloader rereads the directories it re-parses and pays for nothing
+// else. It returns the compiled database's hash (archive.HashDatabase's
+// value), a by-product of the compile; zero under ArchiveOff.
+func RefreshArchiveDigestCtx(ctx context.Context, root string, db *store.Database, d *TreeDigest, opts Options) ([archive.HashLen]byte, error) {
+	var zero [archive.HashLen]byte
 	if opts.Archive == ArchiveOff {
-		return nil
+		return zero, nil
 	}
 	_, hashSpan := obs.StartSpan(ctx, "catalog.hash_tree")
-	th, err := TreeHash(root)
+	before := d.Hashed()
+	th, err := d.Hash()
+	hashSpan.SetAttr("dirs_read", strconv.Itoa(d.Hashed()-before))
 	hashSpan.End()
 	if err != nil {
-		return err
+		return zero, err
 	}
 	path := opts.ArchivePath
 	if path == "" {
 		path = filepath.Join(root, DefaultArchiveName)
 	}
-	_, err = archive.WriteFileCtx(ctx, path, db, th)
-	return err
+	hs, err := archive.WriteFileHashesCtx(ctx, path, db, th)
+	return hs.Database, err
 }

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // condGet issues a GET with an optional If-None-Match header and returns
@@ -120,5 +122,36 @@ func TestETagNeverMasksErrors(t *testing.T) {
 	// Unresolvable diff ref: 404 beats 304.
 	if res := condGet(t, srv, "/v1/diff?a=NSS&b=NoSuchStore", "*"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("bad diff ref with If-None-Match *: %d, want 404", res.StatusCode)
+	}
+}
+
+// TestKnownHashTagsMatchLazyTags: a database hash handed over by the
+// caller — at construction or with a swap — yields exactly the tag the
+// server would compute itself, and a zero hash means "compute it".
+func TestKnownHashTagsMatchLazyTags(t *testing.T) {
+	db1 := swapDB(t, "2020-01-01", 0, 1, 2)
+	db2 := swapDB(t, "2020-02-01", 0, 1)
+	lazy := func(db *store.Database) string {
+		return condGet(t, service.New(db, service.Config{}), "/v1/providers", "").Header.Get("ETag")
+	}
+	h1, err := archive.HashDatabase(db1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := archive.HashDatabase(db2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(db1, service.Config{DatabaseHash: h1})
+	if got, want := condGet(t, srv, "/v1/providers", "").Header.Get("ETag"), lazy(db1); got != want {
+		t.Fatalf("constructed with its hash: ETag %s, computed %s", got, want)
+	}
+	srv.SwapHashed(db2, h2)
+	if got, want := condGet(t, srv, "/v1/providers", "").Header.Get("ETag"), lazy(db2); got != want {
+		t.Fatalf("swapped with its hash: ETag %s, computed %s", got, want)
+	}
+	srv.SwapHashed(db1, [archive.HashLen]byte{})
+	if got, want := condGet(t, srv, "/v1/providers", "").Header.Get("ETag"), lazy(db1); got != want {
+		t.Fatalf("swapped with no hash: ETag %s, computed %s", got, want)
 	}
 }

@@ -80,6 +80,11 @@ type Config struct {
 	// server and the tracker so reload traces and request traces land in
 	// the same /debug/traces ring.
 	Tracer *obs.Tracer
+	// DatabaseHash, when non-zero, is archive.HashDatabase of the database
+	// handed to New, already known to the caller (a sidecar load yields
+	// it). It becomes the first generation's entity tag, so the first
+	// response need not encode the whole database to stamp it.
+	DatabaseHash [archive.HashLen]byte
 }
 
 // Defaults for Config zero values.
@@ -197,7 +202,7 @@ func New(db *store.Database, cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.VerifyWorkers),
 		mux:     http.NewServeMux(),
 	}
-	s.install(db, "", s.epochCounter.Add(1))
+	s.install(db, hashTag(cfg.DatabaseHash), s.epochCounter.Add(1))
 
 	s.route("GET /v1/providers", s.handleProviders)
 	s.route("GET /v1/providers/{provider}/snapshots", s.handleSnapshots)
@@ -249,8 +254,26 @@ func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 // OnReload hook — trustd keeps answering mid-reload with no lock on any
 // read path.
 func (s *Server) Swap(db *store.Database) {
-	s.install(db, "", s.epochCounter.Add(1))
+	s.SwapHashed(db, [archive.HashLen]byte{})
+}
+
+// SwapHashed is Swap for a database whose archive.HashDatabase value the
+// caller already knows (zero: unknown, computed lazily as for Swap) — the
+// tracker's reload path, which learns it from the sidecar compile. The
+// first response of the generation then stamps its tag without encoding
+// the database again.
+func (s *Server) SwapHashed(db *store.Database, dbHash [archive.HashLen]byte) {
+	s.install(db, hashTag(dbHash), s.epochCounter.Add(1))
 	s.metrics.reloads.Add(1)
+}
+
+// hashTag renders a database hash as an entity tag; "" for the zero hash,
+// which install reads as "compute lazily".
+func hashTag(h [archive.HashLen]byte) string {
+	if h == ([archive.HashLen]byte{}) {
+		return ""
+	}
+	return `"` + hex.EncodeToString(h[:]) + `"`
 }
 
 // SwapArchive installs a database decoded from a rootpack archive whose
@@ -268,7 +291,7 @@ func (s *Server) SwapArchive(db *store.Database, contentHash [archive.HashLen]by
 			break
 		}
 	}
-	s.install(db, `"`+hex.EncodeToString(contentHash[:])+`"`, epoch)
+	s.install(db, hashTag(contentHash), epoch)
 	s.metrics.reloads.Add(1)
 }
 

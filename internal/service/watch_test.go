@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/pemstore"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -58,12 +59,16 @@ func TestWatchEndToEndHotReload(t *testing.T) {
 
 	// The tracker drives reloads; the server is created from the first
 	// ingested database, then swapped on every subsequent one.
+	// Swaps carry the database hash the tracker learns from its sidecar
+	// compile, as in cmd/trustd.
 	var srv atomic.Pointer[service.Server]
+	src := tracker.NewDirSource(root, 0)
+	defer src.Close()
 	trk, err := tracker.New(tracker.Config{
-		Source: tracker.NewDirSource(root, 0),
-		OnReload: func(db *store.Database) {
+		Source: src,
+		OnReloadHash: func(db *store.Database, h [archive.HashLen]byte) {
 			if s := srv.Load(); s != nil {
-				s.Swap(db)
+				s.SwapHashed(db, h)
 			}
 		},
 	})
@@ -73,7 +78,8 @@ func TestWatchEndToEndHotReload(t *testing.T) {
 	if _, err := trk.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	inner := service.New(trk.Database(), service.Config{})
+	h, _ := trk.DatabaseHash()
+	inner := service.New(trk.Database(), service.Config{DatabaseHash: h})
 	inner.AttachEvents(trk)
 	srv.Store(inner)
 

@@ -7,6 +7,7 @@ package tracker
 import (
 	"io"
 	"log/slog"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,6 +133,13 @@ func TestStatsFamiliesLintClean(t *testing.T) {
 	}
 	if byName["trustd_tracker_last_reload_seconds"] <= 0 {
 		t.Error("last reload duration not recorded")
+	}
+	if byName["trustd_tracker_dirs_digested_total"] != 3 || byName["trustd_tracker_dirs_statted_total"] != 3 {
+		t.Errorf("digested %v, statted %v directories; want the tree's 3 each",
+			byName["trustd_tracker_dirs_digested_total"], byName["trustd_tracker_dirs_statted_total"])
+	}
+	if want := map[bool]float64{true: 1, false: 0}[runtime.GOOS == "linux"]; byName["trustd_tracker_inotify"] != want {
+		t.Errorf("trustd_tracker_inotify = %v, want %v", byName["trustd_tracker_inotify"], want)
 	}
 	var sb strings.Builder
 	if err := obs.WriteExposition(&sb, fams); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -34,6 +35,11 @@ type Config struct {
 	// — the hot-swap hook cmd/trustd points at Server.Swap so queries
 	// never observe events for state they cannot see yet.
 	OnReload func(*store.Database)
+	// OnReloadHash, when set, is called instead of OnReload with the
+	// database's archive.HashDatabase value as well, whenever that is known
+	// for free — the sidecar compile yields it — and zero otherwise. The
+	// serving layer then need not encode the database again for its ETag.
+	OnReloadHash func(db *store.Database, dbHash [archive.HashLen]byte)
 	// Classifier grades event severity (zero value: cross-store holders
 	// only, no external catalog).
 	Classifier Classifier
@@ -56,9 +62,16 @@ type Tracker struct {
 	log *Log
 	bus *Bus
 
+	// rescanMu serializes Rescan; digest is only touched under it.
+	rescanMu sync.Mutex
+	// digest remembers each ingested directory's content digest, so the
+	// sidecar refresh after a change reads only the changed directories.
+	digest *catalog.TreeDigest
+
 	mu       sync.Mutex
 	seen     map[string]stamp // SnapshotDir.Key() → change stamp
 	db       *store.Database
+	dbHash   [archive.HashLen]byte // archive.HashDatabase(db) when known, else zero
 	removals map[string]*removalRecord
 
 	// Pipeline counters, written with atomics so Stats and StatsFamilies
@@ -68,6 +81,7 @@ type Tracker struct {
 	statEvents        atomic.Uint64
 	statLastReloadNS  atomic.Int64
 	statReloadTotalNS atomic.Int64
+	statDigested      atomic.Int64
 }
 
 // stamp is the change detector for one snapshot directory: a same-second
@@ -154,6 +168,15 @@ func (t *Tracker) Database() *store.Database {
 	return t.db
 }
 
+// DatabaseHash returns archive.HashDatabase of the current database when
+// the last reload learned it for free (see Config.OnReloadHash), and
+// reports whether it did.
+func (t *Tracker) DatabaseHash() ([archive.HashLen]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dbHash, t.dbHash != [archive.HashLen]byte{}
+}
+
 // Lag reports, per provider, how far behind the wall clock the provider's
 // newest ingested snapshot is — the freshness gauge the serving layer
 // exports.
@@ -215,22 +238,30 @@ func lagDays(first, then time.Time) int {
 	return int(then.Sub(first).Hours() / 24)
 }
 
-// Run polls the source until ctx is cancelled. Scan or ingest errors are
-// logged and retried next tick (a half-written tree settles by itself);
-// only ctx cancellation ends the loop.
+// Run rescans the source until ctx is cancelled: every Interval, and at
+// once whenever a Notifier source reports a change. Scan or ingest errors
+// are logged and retried next tick (a half-written tree settles by
+// itself); only ctx cancellation ends the loop.
 func (t *Tracker) Run(ctx context.Context) error {
 	ticker := time.NewTicker(t.cfg.Interval)
 	defer ticker.Stop()
+	notifier, _ := t.cfg.Source.(Notifier)
+	var wake <-chan struct{}
 	for {
 		if n, err := t.Rescan(); err != nil {
 			t.cfg.Logger.Warn("rescan failed; will retry", "err", err)
 		} else if n > 0 {
 			t.cfg.Logger.Info("ingested", "snapshots", n, "events", t.log.LastSeq())
 		}
+		if wake == nil && notifier != nil {
+			// Asked after a scan: a source learns how it watches on its first.
+			wake = notifier.Notify()
+		}
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-ticker.C:
+		case <-wake:
 		}
 	}
 }
@@ -250,6 +281,8 @@ type ingest struct {
 // previous generation (store.Snapshot.ShareClone), so a single-provider
 // update costs one snapshot's parse no matter how large the tree is.
 func (t *Tracker) Rescan() (int, error) {
+	t.rescanMu.Lock()
+	defer t.rescanMu.Unlock()
 	start := time.Now()
 	t.statRescans.Add(1)
 	ctx, trace := t.cfg.Tracer.Start(context.Background(), "tracker.rescan")
@@ -301,15 +334,23 @@ func (t *Tracker) Rescan() (int, error) {
 	trace.SetAttr("changed", strconv.Itoa(len(changed)))
 
 	var newDB *store.Database
+	var dbHash [archive.HashLen]byte
 	lctx, loadSpan := obs.StartSpan(ctx, "tracker.load")
 	if initial {
 		// Cold start: the catalog takes the fast path through a fresh
 		// sidecar archive when one exists.
 		loadSpan.SetAttr("mode", "full")
-		newDB, err = catalog.LoadTreeCtx(lctx, t.cfg.Source.Root(), t.cfg.Catalog)
+		var info *catalog.TreeInfo
+		newDB, info, err = catalog.LoadTreeInfoCtx(lctx, t.cfg.Source.Root(), t.cfg.Catalog)
+		if err == nil {
+			t.digest, dbHash = info.Digest, info.DatabaseHash
+		}
 	} else {
 		loadSpan.SetAttr("mode", "splice")
-		newDB, err = t.spliceReload(lctx, dirs, changed, oldDB)
+		newDB, dbHash, err = t.spliceReload(lctx, dirs, changed, oldDB)
+	}
+	if t.digest != nil {
+		t.statDigested.Store(int64(t.digest.Hashed()))
 	}
 	loadSpan.End()
 	if err != nil {
@@ -354,9 +395,12 @@ func (t *Tracker) Rescan() (int, error) {
 		return a.Key() < b.Key()
 	})
 
-	t.db = newDB
+	t.db, t.dbHash = newDB, dbHash
 	_, swapSpan := obs.StartSpan(ctx, "tracker.swap")
-	if t.cfg.OnReload != nil {
+	switch {
+	case t.cfg.OnReloadHash != nil:
+		t.cfg.OnReloadHash(newDB, dbHash)
+	case t.cfg.OnReload != nil:
 		t.cfg.OnReload(newDB)
 	}
 	swapSpan.End()
@@ -396,8 +440,14 @@ func (t *Tracker) finishReload(start time.Time, emitted int, trace, classifySpan
 // changed snapshot directories and sharing every other snapshot with the
 // previous generation. Sharing goes through ShareClone so the new
 // generation's interner attachment and bitset memos never touch snapshots
-// the old generation is still serving.
-func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir, oldDB *store.Database) (*store.Database, error) {
+// the old generation is still serving. It returns the generation's
+// database hash when the sidecar refresh yielded it (zero otherwise).
+// Callers hold rescanMu.
+func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir, oldDB *store.Database) (*store.Database, [archive.HashLen]byte, error) {
+	var dbHash [archive.HashLen]byte
+	if t.digest == nil {
+		t.digest = catalog.NewTreeDigest(t.cfg.Source.Root())
+	}
 	changedKeys := make(map[string]bool, len(changed))
 	for _, d := range changed {
 		changedKeys[d.Key()] = true
@@ -411,22 +461,27 @@ func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir,
 			}
 		}
 		if snap == nil {
+			// Digest first: the sidecar's tree hash must never describe
+			// newer content than this parse (see catalog.TreeDigest).
+			t.digest.Reread(d.Provider, d.Version)
 			s, _, err := catalog.LoadVersionDirCtx(ctx, t.cfg.Source.Root(), d.Provider, d.Version, t.cfg.Catalog)
 			if err != nil {
-				return nil, fmt.Errorf("tracker: %s: %w", d.Key(), err)
+				return nil, dbHash, fmt.Errorf("tracker: %s: %w", d.Key(), err)
 			}
 			snap = s
 		}
 		if err := newDB.AddSnapshot(snap); err != nil {
-			return nil, err
+			return nil, dbHash, err
 		}
 	}
 	// Keep the next cold start fast: recompile the sidecar from the spliced
-	// database (best-effort; no-op under ArchiveOff).
-	if err := catalog.RefreshArchiveCtx(ctx, t.cfg.Source.Root(), newDB, t.cfg.Catalog); err != nil {
+	// database (best-effort; no-op under ArchiveOff). Only the changed
+	// directories are hashed again.
+	dbHash, err := catalog.RefreshArchiveDigestCtx(ctx, t.cfg.Source.Root(), newDB, t.digest, t.cfg.Catalog)
+	if err != nil {
 		t.cfg.Logger.Warn("sidecar archive refresh failed", "err", err)
 	}
-	return newDB, nil
+	return newDB, dbHash, nil
 }
 
 // eventsFor builds the classified event batch for one new snapshot.

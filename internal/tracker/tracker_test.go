@@ -77,7 +77,7 @@ func fpOf(t *testing.T, idx int) string {
 
 func newTestTracker(t *testing.T, root string, mutate func(*Config)) *Tracker {
 	t.Helper()
-	cfg := Config{Source: NewDirSource(root, 0)}
+	cfg := Config{Source: newWatchedSource(t, root, 0)}
 	if mutate != nil {
 		mutate(&cfg)
 	}
