@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -258,6 +259,14 @@ var clusterOrigin atomic.Pointer[cluster.Origin]
 // local hot swap, tagged with the database hash the tracker learned from
 // its sidecar compile. Publish failures fall back to the local swap — the
 // origin node must keep serving fresh data even if encoding breaks.
+//
+// After a swap it collects once. While the tracker builds a generation,
+// the old one is live beside it, so a GC cycle that ends mid-reload sets
+// the next heap goal to twice both generations; until another cycle ran,
+// serving could grow the heap that far, and whether it did depended on
+// where the cycles fell against the reload. Collecting when the old
+// generation has just been dropped sets the goal from the one generation
+// left, so peak memory no longer depends on GC timing.
 func reloadFleet(db *store.Database, dbHash [archive.HashLen]byte, logger *slog.Logger) {
 	if o := clusterOrigin.Load(); o != nil {
 		m, err := o.Publish(context.Background(), db, [archive.HashLen]byte{})
@@ -268,6 +277,7 @@ func reloadFleet(db *store.Database, dbHash [archive.HashLen]byte, logger *slog.
 			}
 			if hb, herr := m.HashBytes(); herr == nil {
 				s.SwapArchive(db, hb, m.Epoch)
+				runtime.GC()
 				return
 			}
 		}
@@ -275,6 +285,7 @@ func reloadFleet(db *store.Database, dbHash [archive.HashLen]byte, logger *slog.
 	}
 	if s := watchSrv.Load(); s != nil {
 		s.SwapHashed(db, dbHash)
+		runtime.GC()
 	}
 }
 

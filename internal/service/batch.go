@@ -1,11 +1,13 @@
 package service
 
-// POST /v1/verify/batch — the corpus-scale verification hot path. The
-// request body is NDJSON: one JSON object per line with the same shape as
-// the /v1/verify body, plus `chain_der` (base64 DER certificates, leaf
-// first) to skip PEM decoding entirely. The response streams back one
-// NDJSON verdict line per input line, in input order, so a million-chain
-// batch runs in constant memory on both ends.
+// POST /v1/verify/batch — the corpus-scale verification path. The request
+// body is NDJSON, one /v1/verify body per line; bulk callers send
+// chain_der (base64 DER, leaf first) to skip PEM decoding. The response
+// streams back one NDJSON object per input line, in input order, so a
+// million-chain batch runs in constant memory on both ends. Each line runs
+// through the verify core shared with /v1/verify (verify.go) and renders
+// the same object with a leading "seq"; this file is the streaming around
+// it.
 //
 // The pipeline is: reader → bounded worker set → ordered writer.
 //
@@ -13,59 +15,34 @@ package service
 //     when the ordered-output queue is full, so a slow client (or a writer
 //     that has fallen behind) pauses reads — back-pressure all the way to
 //     the peer's TCP window.
-//   - Workers decode, route and verify lines concurrently. Everything the
-//     per-request path recomputes per call is amortized across the batch:
-//     UA→store routing and snapshot resolution are cached per distinct
-//     (stores, user_agent, at) tuple, the intermediates pool is built once
-//     per chain, verdict-cache keys are rendered into per-worker scratch
-//     buffers, and verdict rows are emitted from pre-rendered JSON
-//     fragments instead of encoding/json — so the warm (verdict-cache-hit)
-//     path allocates close to nothing per verdict.
+//   - Workers run lines through the core concurrently, each with its own
+//     scratch. Routes are resolved once per distinct
+//     (stores, user_agent, at) tuple per batch, so the warm
+//     (verdict-cache-hit) path allocates close to nothing per verdict.
 //   - The writer drains jobs in sequence order and recycles their buffers.
 //
-// The whole batch runs against ONE serving generation (the same hot-swap
-// safety fanoutVerify has): a reload mid-batch cannot mix verdicts from
-// two databases in one response. Per-store verification slots are shared
-// with the single-verify fan-out through the same semaphore, so a batch
-// cannot starve interactive requests of CPU, only queue behind them.
+// The whole batch runs against ONE serving generation: a reload mid-batch
+// cannot mix verdicts from two databases in one response. Cold
+// verifications take a slot of the same -workers semaphore as /v1/verify,
+// so a batch cannot starve interactive requests of CPU, only queue behind
+// them.
 
 import (
 	"bufio"
-	"context"
-	"crypto/sha256"
-	"crypto/x509"
-	"encoding/base64"
-	"encoding/hex"
-	"encoding/json"
-	"encoding/pem"
 	"errors"
-	"expvar"
 	"fmt"
-	"hash"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/store"
-	"repro/internal/useragent"
-	"repro/internal/verify"
 )
 
 // batchPath is exempt from the whole-body size cap (the stream is
 // unbounded by design; each LINE is capped at MaxBodyBytes instead) and
 // from RequestTimeout (it is bounded by WatchTimeout like other streams).
 const batchPath = "/v1/verify/batch"
-
-// batchLineReq is one NDJSON input line.
-type batchLineReq struct {
-	verifyRequest
-	// ChainDER is the chain as standard-base64 DER certificates, leaf
-	// first. When present it takes precedence over chain_pem.
-	ChainDER []string `json:"chain_der,omitempty"`
-}
 
 // batchJob carries one line through the pipeline. Jobs are recycled
 // through a per-batch free list, so a steady-state batch allocates no new
@@ -78,81 +55,6 @@ type batchJob struct {
 	done    chan struct{} // cap 1; worker signals the writer
 }
 
-// batchRoute is the resolved, pre-rendered form of one distinct
-// (stores, user_agent, at) tuple — computed once per batch, shared by
-// every line that names the tuple.
-type batchRoute struct {
-	errMsg string // resolution failed; every line using the tuple errors
-	snaps  []batchSnap
-	uaJSON []byte // pre-rendered `,"user_agent":{...}` fragment (or nil)
-	atJSON []byte // pre-rendered `,"at":"..."` fragment (or nil)
-}
-
-// batchSnap pre-renders everything about one snapshot in a route: the
-// verdict-key fragments and the static prefix of its verdict JSON row.
-type batchSnap struct {
-	snap  *store.Snapshot
-	key   string // snap.Key()
-	atRFC string // resolved verification instant, RFC 3339
-	at    time.Time
-	pre   []byte // `{"store":"...","provider":"...","date":"..."`
-}
-
-// batch is the shared state of one /v1/verify/batch request.
-type batch struct {
-	s       *Server
-	st      *dbState
-	ctx     context.Context
-	maxLine int
-
-	// hitCtr/missCtr are the verdict-cache counters resolved once per
-	// batch, so the per-verdict hot path is one atomic add instead of an
-	// expvar.Map walk with a key concatenation.
-	hitCtr, missCtr *expvar.Int
-
-	mu     sync.Mutex
-	routes map[string]*batchRoute
-}
-
-// batchScratch is one worker's reusable decode/verify/encode state.
-// Workers own their scratch exclusively, so none of this needs pooling or
-// locking.
-type batchScratch struct {
-	req      batchLineReq // encoding/json fallback target
-	f        lineFields   // decoded line, byte views end to end
-	pemBuf   []byte       // unescape buffer for chain_pem
-	routeKey []byte
-	keyBuf   []byte
-	derBuf   []byte   // decoded DER bytes for the whole chain
-	ders     [][]byte // per-certificate views (into derBuf for chain_der)
-	certs    []*x509.Certificate
-	hasher   hash.Hash
-	sum      []byte
-	hexBuf   [2 * sha256.Size]byte
-
-	// outcomeCtr caches per-outcome counters (worker-owned, no locking).
-	outcomeCtr map[string]*expvar.Int
-}
-
-// countVerdict records one emitted verdict with pre-resolved counters.
-func (b *batch) countVerdict(sc *batchScratch, outcome string, hit bool) {
-	if hit {
-		b.hitCtr.Add(1)
-	} else {
-		b.missCtr.Add(1)
-	}
-	ctr, seen := sc.outcomeCtr[outcome]
-	if !seen {
-		ctr = b.s.metrics.outcomeCounter(outcome)
-		sc.outcomeCtr[outcome] = ctr
-	}
-	if ctr != nil {
-		ctr.Add(1)
-	}
-	b.s.metrics.verified.Add(1)
-	b.s.metrics.batchVerdicts.Add(1)
-}
-
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	// One generation for the whole batch; its identity rides the response
 	// headers like every other /v1 route.
@@ -161,14 +63,8 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	s.metrics.batchBatches.Add(1)
 
-	b := &batch{
-		s:       s,
-		st:      st,
-		ctx:     ctx,
-		maxLine: int(s.cfg.MaxBodyBytes),
-		routes:  map[string]*batchRoute{},
-	}
-	b.hitCtr, b.missCtr = s.metrics.cachePair("verdict")
+	b := &verifyRun{s: s, st: st, ctx: ctx, batch: true, routes: map[string]*verifyRoute{}}
+	maxLine := int(s.cfg.MaxBodyBytes)
 
 	workers := s.cfg.BatchWorkers
 	work := make(chan *batchJob, workers)
@@ -182,13 +78,11 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			span := obs.StartLeafSpan(ctx, "batch.verify")
 			defer span.End()
-			sc := &batchScratch{
-				hasher:     sha256.New(),
-				outcomeCtr: map[string]*expvar.Int{},
-			}
+			sc := s.scratch.Get().(*verifyScratch)
+			defer s.scratch.Put(sc)
 			n := 0
 			for job := range work {
-				b.processLine(sc, job)
+				b.processLine(sc, job, maxLine)
 				n++
 				job.done <- struct{}{}
 			}
@@ -211,7 +105,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			if ctx.Err() != nil {
 				return
 			}
-			line, tooLong, err := readBatchLine(br, b.maxLine, &spill)
+			line, tooLong, err := readBatchLine(br, maxLine, &spill)
 			if err != nil && err != io.EOF {
 				span.SetAttr("read_error", err.Error())
 				return
@@ -347,408 +241,21 @@ func trimEOL(b []byte) []byte {
 }
 
 // processLine turns one input line into one rendered NDJSON output line in
-// job.buf. All scratch state is worker-owned; the only shared mutation is
-// the generation's verdict cache and the batch route map.
-func (b *batch) processLine(sc *batchScratch, job *batchJob) {
+// job.buf.
+func (b *verifyRun) processLine(sc *verifyScratch, job *batchJob, maxLine int) {
 	if b.ctx.Err() != nil {
 		// Cancelled batch: resolve the job empty so the writer drains.
 		job.buf = job.buf[:0]
 		return
 	}
-	if job.tooLong {
-		job.buf = appendBatchError(job.buf[:0], job.seq, nil,
-			fmt.Sprintf("line exceeds %d bytes", b.maxLine))
-		b.s.metrics.batchRejects.Add(1)
-		b.s.metrics.batchLines.Add(1)
-		return
-	}
 	b.s.metrics.batchLines.Add(1)
-
-	f := &sc.f
-	if !fastParseLine(job.line, f, &sc.pemBuf) {
-		// Shape beyond the fast path — or invalid. encoding/json decides
-		// which, and owns the error message either way.
-		req := &sc.req
-		req.ChainPEM, req.Purpose, req.DNSName, req.UserAgent, req.At = "", "", "", "", ""
-		req.Stores = req.Stores[:0]
-		req.ChainDER = req.ChainDER[:0]
-		if err := json.Unmarshal(job.line, req); err != nil {
-			job.buf = appendBatchError(job.buf[:0], job.seq, nil, "invalid JSON: "+err.Error())
-			b.s.metrics.batchRejects.Add(1)
-			return
-		}
-		f.reset()
-		sc.pemBuf = append(sc.pemBuf[:0], req.ChainPEM...)
-		f.chainPEM = sc.pemBuf
-		for _, d := range req.ChainDER {
-			f.chainDER = append(f.chainDER, []byte(d))
-		}
-		for _, ref := range req.Stores {
-			f.stores = append(f.stores, []byte(ref))
-		}
-		f.ua, f.at = []byte(req.UserAgent), []byte(req.At)
-		f.purpose, f.dnsName = []byte(req.Purpose), []byte(req.DNSName)
-	}
-
-	purpose := store.ServerAuth
-	if len(f.purpose) != 0 {
-		var err error
-		if purpose, err = store.ParsePurpose(string(f.purpose)); err != nil {
-			job.buf = appendBatchError(job.buf[:0], job.seq, nil, err.Error())
-			b.s.metrics.batchRejects.Add(1)
-			return
-		}
-	}
-
-	rt := b.route(sc)
-	if rt.errMsg != "" {
-		job.buf = appendBatchError(job.buf[:0], job.seq, rt.uaJSON, rt.errMsg)
-		b.s.metrics.batchRejects.Add(1)
-		return
-	}
-
-	// Chain identity without parsing: decode the DER (or PEM) bytes and
-	// hash them. x509 parsing is deferred until a verdict-cache miss
-	// actually needs to verify — on the warm path it never happens.
-	sc.ders = sc.ders[:0]
-	sc.certs = sc.certs[:0]
-	if len(f.chainDER) > 0 {
-		sc.derBuf = sc.derBuf[:0]
-		// Decode into one contiguous buffer; record the split offsets
-		// first, then re-slice (the buffer may move while growing).
-		offs := make([]int, 0, 8)
-		for i, b64 := range f.chainDER {
-			need := base64.StdEncoding.DecodedLen(len(b64))
-			start := len(sc.derBuf)
-			sc.derBuf = append(sc.derBuf, make([]byte, need)...)
-			n, err := base64.StdEncoding.Decode(sc.derBuf[start:], b64)
-			if err != nil {
-				job.buf = appendBatchError(job.buf[:0], job.seq, rt.uaJSON,
-					fmt.Sprintf("chain_der[%d]: %v", i, err))
-				b.s.metrics.batchRejects.Add(1)
-				return
-			}
-			sc.derBuf = sc.derBuf[:start+n]
-			offs = append(offs, start)
-		}
-		for i, start := range offs {
-			end := len(sc.derBuf)
-			if i+1 < len(offs) {
-				end = offs[i+1]
-			}
-			sc.ders = append(sc.ders, sc.derBuf[start:end])
-		}
+	status := http.StatusBadRequest
+	if job.tooLong {
+		job.buf = b.appendError(job.buf, job.seq, nil, fmt.Sprintf("line exceeds %d bytes", maxLine))
 	} else {
-		rest := f.chainPEM
-		for {
-			var block *pem.Block
-			block, rest = pem.Decode(rest)
-			if block == nil {
-				break
-			}
-			if block.Type != "CERTIFICATE" {
-				continue
-			}
-			sc.ders = append(sc.ders, block.Bytes)
-		}
+		job.buf, status = b.verifyLine(sc, job.line, job.seq, job.buf)
 	}
-	if len(sc.ders) == 0 {
-		job.buf = appendBatchError(job.buf[:0], job.seq, rt.uaJSON, "chain contains no certificates")
+	if status != http.StatusOK {
 		b.s.metrics.batchRejects.Add(1)
-		return
 	}
-	sc.hasher.Reset()
-	for _, der := range sc.ders {
-		sc.hasher.Write(der)
-	}
-	sc.sum = sc.hasher.Sum(sc.sum[:0])
-	hex.Encode(sc.hexBuf[:], sc.sum)
-	chainHash := sc.hexBuf[:]
-
-	// Render the line prefix.
-	out := job.buf[:0]
-	out = append(out, `{"seq":`...)
-	out = strconv.AppendInt(out, int64(job.seq), 10)
-	out = append(out, `,"chain_sha256":"`...)
-	out = append(out, chainHash...)
-	out = append(out, `","purpose":"`...)
-	out = append(out, purpose.String()...)
-	out = append(out, '"')
-	out = append(out, rt.atJSON...)
-	out = append(out, rt.uaJSON...)
-	out = append(out, `,"verdicts":[`...)
-
-	var interPool *x509.CertPool
-	for vi := range rt.snaps {
-		sk := &rt.snaps[vi]
-		if vi > 0 {
-			out = append(out, ',')
-		}
-
-		key := sc.keyBuf[:0]
-		key = append(key, chainHash...)
-		key = append(key, '|')
-		key = append(key, sk.key...)
-		key = append(key, '|')
-		key = append(key, purpose.String()...)
-		key = append(key, '|')
-		key = append(key, f.dnsName...)
-		key = append(key, '|')
-		key = append(key, sk.atRFC...)
-		sc.keyBuf = key
-
-		if v, ok := b.st.verdicts.getBytes(key); ok {
-			out = appendVerdictJSON(out, sk.pre, &v, true)
-			b.countVerdict(sc, v.Outcome, true)
-			continue
-		}
-
-		// Cold pair: parse the chain once per line, then verify under a
-		// shared worker slot.
-		if len(sc.certs) == 0 {
-			for i, der := range sc.ders {
-				cert, err := x509.ParseCertificate(der)
-				if err != nil {
-					job.buf = appendBatchError(out[:0], job.seq, rt.uaJSON,
-						fmt.Sprintf("certificate %d in chain: %v", i, err))
-					b.s.metrics.batchRejects.Add(1)
-					return
-				}
-				sc.certs = append(sc.certs, cert)
-			}
-			interPool = verify.PoolIntermediates(sc.certs[1:])
-		} else if interPool == nil {
-			interPool = verify.PoolIntermediates(sc.certs[1:])
-		}
-
-		v := b.coldVerdict(sk, verify.Request{
-			Leaf:          sc.certs[0],
-			Intermediates: sc.certs[1:],
-			InterPool:     interPool,
-			Purpose:       purpose,
-			DNSName:       string(f.dnsName),
-			At:            sk.at,
-		}, key)
-		out = appendVerdictJSON(out, sk.pre, &v, false)
-		b.countVerdict(sc, v.Outcome, false)
-	}
-	out = append(out, ']', '}', '\n')
-	job.buf = out
-}
-
-// coldVerdict verifies one (chain, store) pair under the shared worker
-// semaphore and memoizes the verdict for the rest of the batch (and for
-// /v1/verify — the caches are one and the same).
-func (b *batch) coldVerdict(sk *batchSnap, vreq verify.Request, key []byte) storeVerdict {
-	select {
-	case b.s.sem <- struct{}{}:
-	case <-b.ctx.Done():
-		return storeVerdict{
-			Store: sk.key, Provider: sk.snap.Provider, Date: sk.snap.Date,
-			Outcome: "timeout", Error: b.ctx.Err().Error(),
-		}
-	}
-	res := b.st.verifiers.get(sk.snap).Verify(vreq)
-	<-b.s.sem
-
-	v := storeVerdict{
-		Store:    sk.key,
-		Provider: sk.snap.Provider,
-		Date:     sk.snap.Date,
-		Outcome:  res.Outcome.String(),
-	}
-	if res.Anchor != nil {
-		v.AnchorFingerprint = res.Anchor.Fingerprint.String()
-		v.AnchorLabel = res.Anchor.Label
-	}
-	if res.Err != nil {
-		v.Error = res.Err.Error()
-	}
-	b.st.verdicts.put(string(key), v)
-	return v
-}
-
-// route returns the resolved batchRoute for the line's
-// (stores, user_agent, at) tuple, resolving and pre-rendering it on first
-// sight. The composite lookup key is built in worker scratch, so the hot
-// path (tuple already cached) allocates nothing.
-func (b *batch) route(sc *batchScratch) *batchRoute {
-	f := &sc.f
-	key := sc.routeKey[:0]
-	key = append(key, f.ua...)
-	key = append(key, 0x1f)
-	key = append(key, f.at...)
-	for _, ref := range f.stores {
-		key = append(key, 0x1f)
-		key = append(key, ref...)
-	}
-	sc.routeKey = key
-
-	b.mu.Lock()
-	rt := b.routes[string(key)]
-	b.mu.Unlock()
-	if rt != nil {
-		return rt
-	}
-	stores := make([]string, len(f.stores))
-	for i, ref := range f.stores {
-		stores[i] = string(ref)
-	}
-	rt = b.resolveRoute(stores, string(f.ua), string(f.at))
-	b.mu.Lock()
-	if exist := b.routes[string(key)]; exist != nil {
-		rt = exist
-	} else {
-		b.routes[string(key)] = rt
-	}
-	b.mu.Unlock()
-	return rt
-}
-
-// resolveRoute applies the same routing rules as handleVerify — UA→store
-// mapping, provider fallback, snapshot resolution at the requested instant
-// — and pre-renders every per-snapshot fragment the verdict loop needs.
-func (b *batch) resolveRoute(stores []string, userAgent, atStr string) *batchRoute {
-	rt := &batchRoute{}
-	at, err := parseAt(atStr)
-	if err != nil {
-		rt.errMsg = err.Error()
-		return rt
-	}
-	if !at.IsZero() {
-		rt.atJSON = append(append([]byte(`,"at":"`), at.UTC().AppendFormat(nil, time.RFC3339Nano)...), '"')
-	}
-
-	refs := stores
-	if userAgent != "" {
-		agent := useragent.Parse(userAgent)
-		mapped := useragent.MapToProvider(agent)
-		ua := []byte(`,"user_agent":{"browser":`)
-		ua = appendJSONString(ua, string(agent.Browser))
-		ua = append(ua, `,"os":`...)
-		ua = appendJSONString(ua, string(agent.OS))
-		if mapped.Provider != "" {
-			ua = append(ua, `,"provider":`...)
-			ua = appendJSONString(ua, string(mapped.Provider))
-		}
-		ua = append(ua, `,"traceable":`...)
-		ua = strconv.AppendBool(ua, mapped.Traceable)
-		ua = append(ua, `,"reason":`...)
-		ua = appendJSONString(ua, mapped.Reason)
-		ua = append(ua, '}')
-		rt.uaJSON = ua
-		if mapped.Traceable {
-			refs = append(refs, string(mapped.Provider))
-		} else if len(refs) == 0 {
-			rt.errMsg = "user agent is not traceable to a store and no stores were given"
-			return rt
-		}
-	}
-	if len(refs) == 0 {
-		refs = b.st.db.Providers()
-	}
-
-	seen := map[string]bool{}
-	for _, ref := range refs {
-		snap, err := b.st.resolveSnapshot(ref, at)
-		if err != nil {
-			rt.errMsg = err.Error()
-			return rt
-		}
-		if seen[snap.Key()] {
-			continue
-		}
-		seen[snap.Key()] = true
-		snapAt := at
-		if snapAt.IsZero() {
-			snapAt = snap.Date
-		}
-		pre := []byte(`{"store":`)
-		pre = appendJSONString(pre, snap.Key())
-		pre = append(pre, `,"provider":`...)
-		pre = appendJSONString(pre, snap.Provider)
-		pre = append(pre, `,"date":"`...)
-		pre = snap.Date.UTC().AppendFormat(pre, time.RFC3339Nano)
-		pre = append(pre, '"')
-		rt.snaps = append(rt.snaps, batchSnap{
-			snap:  snap,
-			key:   snap.Key(),
-			at:    snapAt,
-			atRFC: snapAt.UTC().Format(time.RFC3339),
-			pre:   pre,
-		})
-	}
-	return rt
-}
-
-// appendBatchError renders a per-line error object:
-// {"seq":N,"user_agent":{...},"error":"..."}. The stream continues — one
-// malformed line costs itself, not the batch.
-func appendBatchError(buf []byte, seq int, uaJSON []byte, msg string) []byte {
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendInt(buf, int64(seq), 10)
-	buf = append(buf, uaJSON...)
-	buf = append(buf, `,"error":`...)
-	buf = appendJSONString(buf, msg)
-	return append(buf, '}', '\n')
-}
-
-// appendVerdictJSON renders one verdict row from its snapshot's
-// pre-rendered prefix plus the dynamic fields — field-for-field the same
-// JSON a storeVerdict marshals to, without encoding/json.
-func appendVerdictJSON(buf, pre []byte, v *storeVerdict, cached bool) []byte {
-	buf = append(buf, pre...)
-	buf = append(buf, `,"outcome":"`...)
-	buf = append(buf, v.Outcome...)
-	buf = append(buf, '"')
-	if v.AnchorFingerprint != "" {
-		buf = append(buf, `,"anchor":"`...)
-		buf = append(buf, v.AnchorFingerprint...)
-		buf = append(buf, '"')
-		if v.AnchorLabel != "" {
-			buf = append(buf, `,"anchor_label":`...)
-			buf = appendJSONString(buf, v.AnchorLabel)
-		}
-	}
-	if v.Error != "" {
-		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, v.Error)
-	}
-	if cached {
-		buf = append(buf, `,"cached":true`...)
-	}
-	return append(buf, '}')
-}
-
-// appendJSONString appends s as a quoted, escaped JSON string. Multi-byte
-// UTF-8 passes through unescaped (valid JSON); only the structural
-// characters and control bytes are escaped.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '"' && c != '\\' && c >= 0x20 {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			const hexDigits = "0123456789abcdef"
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		start = i + 1
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }

@@ -9,7 +9,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"encoding/pem"
 	"fmt"
@@ -106,61 +108,154 @@ func ndline(t *testing.T, v map[string]any) string {
 	return string(raw) + "\n"
 }
 
+// postRaw posts body to path and returns the status and the raw response.
+func postRaw(t *testing.T, srv *service.Server, path string, body []byte) (int, []byte) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestBatchMatchesSingleVerify is the parity property of the one verify
+// core: for every input, the /v1/verify body is byte-identical to the
+// batch line with its "seq":N, removed — verdict rows, cached flags,
+// routing explanation and error envelopes alike — and /v1/verify answers
+// an error input with the status the table names.
 func TestBatchMatchesSingleVerify(t *testing.T) {
-	eco, srv := fixture(t)
-	chain, _ := symantecChain(t, eco)
+	eco, _ := fixture(t)
+	symantec, _ := symantecChain(t, eco)
+	plain := benchChains(t, eco, 1)[0]
+	chains := []string{symantec, plain, symantec + plain} // the last has an intermediate
 
-	// The single-verify answer is the oracle.
-	status, single := postVerify(t, srv, map[string]any{
-		"chain_pem": chain, "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	})
-	if status != http.StatusOK {
-		t.Fatalf("single verify status %d", status)
+	type input struct {
+		name   string
+		body   []byte
+		status int
+		hash   string // want chain_sha256: over the raw DER, whatever the form
 	}
-	wantHash := single["chain_sha256"].(string)
-	singleVerdicts := single["verdicts"].([]any)
+	var inputs []input
+	add := func(name string, status int, v map[string]any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name: name, body: raw, status: status})
+	}
+	routes := []struct {
+		name string
+		v    map[string]any
+	}{
+		{"stores", map[string]any{"stores": []string{"NSS", "Microsoft"}}},
+		{"traceable-ua", map[string]any{"user_agent": uaFirefox}},
+		{"untraceable-ua+stores", map[string]any{"user_agent": "okhttp/4.9.0", "stores": []string{"Debian"}}},
+	}
+	ats := []string{"", "2020-11-15", "2020-11-15T12:00:00+02:00"}
+	extras := []map[string]any{{}, {"purpose": "email-protection", "dns_name": "shop.example.test"}}
+	for ci, chain := range chains {
+		h := sha256.New()
+		for _, b64 := range derChain(t, chain) {
+			der, _ := base64.StdEncoding.DecodeString(b64)
+			h.Write(der)
+		}
+		hash := hex.EncodeToString(h.Sum(nil))
+		for _, form := range []string{"chain_pem", "chain_der"} {
+			for _, rt := range routes {
+				for _, at := range ats {
+					for ei, extra := range extras {
+						v := map[string]any{}
+						if form == "chain_pem" {
+							v[form] = chain
+						} else {
+							v[form] = derChain(t, chain)
+						}
+						for k, x := range rt.v {
+							v[k] = x
+						}
+						for k, x := range extra {
+							v[k] = x
+						}
+						if at != "" {
+							v["at"] = at
+						}
+						add(fmt.Sprintf("chain%d/%s/%s/at=%q/extra%d", ci, form, rt.name, at, ei), http.StatusOK, v)
+						inputs[len(inputs)-1].hash = hash
+					}
+				}
+			}
+		}
+	}
+	add("untraceable-ua", http.StatusUnprocessableEntity, map[string]any{"chain_pem": symantec, "user_agent": "okhttp/4.9.0"})
+	add("unknown-store", http.StatusNotFound, map[string]any{"chain_pem": symantec, "user_agent": uaFirefox, "stores": []string{"NetBSD"}})
+	add("unknown-version", http.StatusNotFound, map[string]any{"chain_pem": symantec, "stores": []string{"NSS@nope"}})
+	add("bad-at", http.StatusBadRequest, map[string]any{"chain_pem": symantec, "at": "yesterday"})
+	add("bad-purpose", http.StatusBadRequest, map[string]any{"chain_pem": symantec, "purpose": "world-domination"})
+	add("empty-chain", http.StatusBadRequest, map[string]any{"chain_pem": "", "stores": []string{"NSS"}})
+	add("garbage-pem", http.StatusBadRequest, map[string]any{"chain_pem": "-----BEGIN CERTIFICATE-----\nAAAA\n-----END CERTIFICATE-----\n", "stores": []string{"NSS"}})
+	add("bad-base64", http.StatusBadRequest, map[string]any{"chain_der": []string{"!!"}, "stores": []string{"NSS"}})
+	for name, raw := range map[string]string{
+		"broken-json":   "{not json",
+		"trailing-data": `{"chain_pem":"x"} garbage`,
+		"wrong-type":    `{"stores":"NSS"}`,
+	} {
+		inputs = append(inputs, input{name: name, body: []byte(raw), status: http.StatusBadRequest})
+	}
 
-	body := ndline(t, map[string]any{
-		"chain_pem": chain, "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	}) + ndline(t, map[string]any{
-		"chain_der": derChain(t, chain), "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	})
-	lines := postBatch(t, srv, body)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	// Two fresh servers so both routes see the same cache history; one
+	// batch worker so the batch resolves lines in input order, exactly as
+	// the sequential singles do. The second round runs warm.
+	single := service.New(eco.DB, service.Config{})
+	batched := service.New(eco.DB, service.Config{BatchWorkers: 1})
+	var batch bytes.Buffer
+	for _, in := range inputs {
+		batch.Write(in.body)
+		batch.WriteByte('\n')
 	}
-	for i, line := range lines {
-		if line.Seq != i {
-			t.Errorf("line %d has seq %d", i, line.Seq)
+	for round := 0; round < 2; round++ {
+		status, out := postRaw(t, batched, "/v1/verify/batch", batch.Bytes())
+		if status != http.StatusOK {
+			t.Fatalf("round %d: batch status %d", round, status)
 		}
-		if line.Error != "" {
-			t.Fatalf("line %d errored: %s", i, line.Error)
+		lines := bytes.SplitAfter(out, []byte("\n"))
+		if len(lines) != len(inputs)+1 || len(lines[len(inputs)]) != 0 {
+			t.Fatalf("round %d: %d batch lines for %d inputs", round, len(lines)-1, len(inputs))
 		}
-		// chain_der and chain_pem must agree on the chain identity: the
-		// hash is over the same DER bytes either way.
-		if line.ChainSHA256 != wantHash {
-			t.Errorf("line %d chain hash %s, want %s", i, line.ChainSHA256, wantHash)
-		}
-		if line.At == "" {
-			t.Errorf("line %d missing at", i)
-		}
-		if len(line.Verdicts) != len(singleVerdicts) {
-			t.Fatalf("line %d has %d verdicts, want %d", i, len(line.Verdicts), len(singleVerdicts))
-		}
-		for j, v := range line.Verdicts {
-			want := singleVerdicts[j].(map[string]any)
-			if v.Store != want["store"].(string) {
-				t.Errorf("line %d verdict %d store %q, want %q", i, j, v.Store, want["store"])
+		for i, in := range inputs {
+			status, got := postRaw(t, single, "/v1/verify", in.body)
+			if status != in.status {
+				t.Errorf("round %d %s: /v1/verify status %d, want %d: %s", round, in.name, status, in.status, got)
 			}
-			if v.Outcome != want["outcome"].(string) {
-				t.Errorf("line %d verdict %d outcome %q, want %q", i, j, v.Outcome, want["outcome"])
+			seq := fmt.Sprintf(`{"seq":%d,`, i)
+			want, ok := bytes.CutPrefix(lines[i], []byte(seq))
+			if !ok {
+				t.Fatalf("round %d %s: batch line lacks %s: %s", round, in.name, seq, lines[i])
 			}
-			if anchor, _ := want["anchor"].(string); v.AnchorFingerprint != anchor {
-				t.Errorf("line %d verdict %d anchor %q, want %q", i, j, v.AnchorFingerprint, anchor)
+			if want = append([]byte("{"), want...); !bytes.Equal(got, want) {
+				t.Errorf("round %d %s: routes differ\n single: %s batch: %s", round, in.name, got, want)
 			}
-			if !v.Cached {
-				// The single verify above already warmed the cache.
-				t.Errorf("line %d verdict %d not served from the verdict cache", i, j)
+			var line batchLineOut
+			if err := json.Unmarshal(got, &line); err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			if (line.Error == "") != (in.status == http.StatusOK) {
+				t.Errorf("round %d %s: status %d with error %q", round, in.name, status, line.Error)
+			}
+			if line.ChainSHA256 != in.hash {
+				t.Errorf("%s: chain_sha256 %q, want %q", in.name, line.ChainSHA256, in.hash)
+			}
+			if in.status == http.StatusUnprocessableEntity && (line.UserAgent == nil || line.UserAgent.Traceable) {
+				t.Errorf("%s: 422 envelope lacks the untraceable user_agent: %s", in.name, got)
+			}
+			if round == 1 && line.Error == "" {
+				for _, v := range line.Verdicts {
+					if !v.Cached {
+						t.Errorf("%s: warm verdict for %s not cached", in.name, v.Store)
+					}
+				}
+			}
+			// The at echo is UTC on both routes.
+			if strings.Contains(in.name, "+02:00") && line.At != "2020-11-15T10:00:00Z" {
+				t.Errorf("%s: at echo %q, want 2020-11-15T10:00:00Z", in.name, line.At)
 			}
 		}
 	}

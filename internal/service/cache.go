@@ -11,7 +11,7 @@ import (
 
 // verifierCacheShards is the shard count of the verifier cache. Snapshot
 // keys hash roughly uniformly, so a small power of two keeps lock
-// contention negligible under the verify fan-out without oversizing the
+// contention negligible under concurrent verifies without oversizing the
 // table for a ~619-snapshot corpus.
 const verifierCacheShards = 16
 
@@ -80,40 +80,29 @@ type lruCache struct {
 
 type lruEntry struct {
 	key   string
-	value storeVerdict
+	value verdict
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (storeVerdict, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return storeVerdict{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).value, true
-}
-
-// getBytes looks up a key rendered into a reusable byte buffer. The
-// map index expression compiles to an allocation-free lookup
-// (m[string(b)] does not copy), which is what keeps the warm verdict
-// path of the batch pipeline at zero allocations per hit.
-func (c *lruCache) getBytes(key []byte) (storeVerdict, bool) {
+// get looks up a key rendered into a reusable byte buffer. The map index
+// expression compiles to an allocation-free lookup (m[string(b)] does not
+// copy), which is what keeps the warm verdict path at zero allocations per
+// hit.
+func (c *lruCache) get(key []byte) (verdict, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[string(key)]
 	if !ok {
-		return storeVerdict{}, false
+		return verdict{}, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).value, true
 }
 
-func (c *lruCache) put(key string, v storeVerdict) {
+func (c *lruCache) put(key string, v verdict) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -127,10 +116,4 @@ func (c *lruCache) put(key string, v storeVerdict) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
 	}
-}
-
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -1,23 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"crypto/x509"
 	"encoding/hex"
 	"encoding/json"
-	"encoding/pem"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/useragent"
-	"repro/internal/verify"
 )
 
 // apiError is the uniform error envelope.
@@ -37,21 +31,35 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeJSONBody decodes a JSON request body into v, answering malformed
-// bodies with 400 and over-limit ones with 413. Every JSON POST route
-// (/v1/verify, /v1/simulate) decodes through here, so the body-cap
-// behaviour cannot drift between endpoints: the cap itself is applied
-// uniformly by withTimeout from the single Config.MaxBodyBytes value
-// (default DefaultMaxBodyBytes; the batch endpoint enforces the same
-// value per NDJSON line inside its pipeline). Returns false when a
-// response has already been written.
-func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// readBody reads a request body into buf, answering an over-cap body with
+// 413. The cap itself is applied by withTimeout from the single
+// Config.MaxBodyBytes value (default DefaultMaxBodyBytes; the batch
+// endpoint enforces the same value per NDJSON line), so it cannot drift
+// between POST routes. ok is false when a response has been written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) (body []byte, ok bool) {
+	b := bytes.NewBuffer(buf)
+	if _, err := b.ReadFrom(r.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
+		} else {
+			s.writeError(w, http.StatusBadRequest, "reading request body: %v", err)
 		}
+		return b.Bytes(), false
+	}
+	return b.Bytes(), true
+}
+
+// decodeJSONBody decodes a JSON request body into v, answering malformed
+// bodies — trailing data after the value included — with 400 and
+// over-limit ones with 413. Returns false when a response has already
+// been written.
+func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := s.readBody(w, r, nil)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
 	}
@@ -297,288 +305,6 @@ func parseAt(s string) (time.Time, error) {
 		}
 	}
 	return time.Time{}, fmt.Errorf("invalid time %q: want RFC 3339 or YYYY-MM-DD", s)
-}
-
-// verifyRequest is the POST /v1/verify body.
-type verifyRequest struct {
-	// ChainPEM holds the chain, leaf first, as concatenated PEM blocks.
-	ChainPEM string `json:"chain_pem"`
-	// Purpose defaults to server-auth.
-	Purpose string `json:"purpose,omitempty"`
-	DNSName string `json:"dns_name,omitempty"`
-	// UserAgent, when set, is routed through the paper's UA → provider
-	// mapping and that provider's store joins the fan-out.
-	UserAgent string `json:"user_agent,omitempty"`
-	// Stores lists snapshot refs ("NSS", "Debian@Debian-007"); empty plus
-	// no user_agent means every provider.
-	Stores []string `json:"stores,omitempty"`
-	// At is the verification instant (RFC 3339 or YYYY-MM-DD); each
-	// snapshot's own date when empty.
-	At string `json:"at,omitempty"`
-}
-
-// uaInfo reports how the User-Agent was routed.
-type uaInfo struct {
-	Browser   string `json:"browser"`
-	OS        string `json:"os"`
-	Provider  string `json:"provider,omitempty"`
-	Traceable bool   `json:"traceable"`
-	Reason    string `json:"reason"`
-}
-
-// storeVerdict is one store's view of the chain — the row the whole service
-// exists to serve.
-type storeVerdict struct {
-	Store             string    `json:"store"`
-	Provider          string    `json:"provider"`
-	Date              time.Time `json:"date"`
-	Outcome           string    `json:"outcome"`
-	AnchorFingerprint string    `json:"anchor,omitempty"`
-	AnchorLabel       string    `json:"anchor_label,omitempty"`
-	Error             string    `json:"error,omitempty"`
-	Cached            bool      `json:"cached,omitempty"`
-}
-
-type verifyResponse struct {
-	ChainSHA256 string         `json:"chain_sha256"`
-	Purpose     string         `json:"purpose"`
-	At          *time.Time     `json:"at,omitempty"`
-	UserAgent   *uaInfo        `json:"user_agent,omitempty"`
-	Verdicts    []storeVerdict `json:"verdicts"`
-}
-
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	// The whole request — routing, fan-out, caching — runs against one
-	// generation, and that generation's identity rides the response.
-	st := s.cur()
-	s.stampGeneration(w, st)
-
-	var req verifyRequest
-	if !s.decodeJSONBody(w, r, &req) {
-		return
-	}
-
-	leaf, intermediates, chainHash, err := parseChainPEM(req.ChainPEM)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	purpose := store.ServerAuth
-	if req.Purpose != "" {
-		purpose, err = store.ParsePurpose(req.Purpose)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	at, err := parseAt(req.At)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	resp := verifyResponse{ChainSHA256: chainHash, Purpose: purpose.String()}
-	if !at.IsZero() {
-		resp.At = &at
-	}
-
-	refs := append([]string(nil), req.Stores...)
-	if req.UserAgent != "" {
-		agent := useragent.Parse(req.UserAgent)
-		mapped := useragent.MapToProvider(agent)
-		resp.UserAgent = &uaInfo{
-			Browser:   string(agent.Browser),
-			OS:        string(agent.OS),
-			Provider:  string(mapped.Provider),
-			Traceable: mapped.Traceable,
-			Reason:    mapped.Reason,
-		}
-		if mapped.Traceable {
-			refs = append(refs, string(mapped.Provider))
-		} else if len(refs) == 0 {
-			// The paper could not trace this client to a store and the
-			// caller named no fallback: nothing to verify against.
-			s.writeJSON(w, http.StatusUnprocessableEntity, resp)
-			return
-		}
-	}
-	if len(refs) == 0 {
-		refs = st.db.Providers()
-	}
-
-	snaps := make([]*store.Snapshot, 0, len(refs))
-	seen := map[string]bool{}
-	for _, ref := range refs {
-		snap, err := st.resolveSnapshot(ref, at)
-		if err != nil {
-			s.writeRefError(w, err)
-			return
-		}
-		if !seen[snap.Key()] {
-			seen[snap.Key()] = true
-			snaps = append(snaps, snap)
-		}
-	}
-
-	resp.Verdicts = s.fanoutVerify(r, st, snaps, verify.Request{
-		Leaf:          leaf,
-		Intermediates: intermediates,
-		// One pool for the whole fan-out: without this every per-store
-		// goroutine rebuilds the same intermediates pool.
-		InterPool: verify.PoolIntermediates(intermediates),
-		Purpose:   purpose,
-		DNSName:   req.DNSName,
-		At:        at,
-	}, chainHash)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// fanoutVerify verifies the chain against every snapshot concurrently,
-// bounded by the worker semaphore and the request context. The whole
-// fan-out runs against one serving generation (st), so a hot swap cannot
-// mix verdicts from two databases in one response.
-//
-// A worker slot is acquired BEFORE the goroutine is spawned, so a wide
-// `stores` fan-out never bursts goroutines past the semaphore: at most
-// VerifyWorkers verification goroutines exist process-wide, shared with
-// the batch pipeline.
-func (s *Server) fanoutVerify(r *http.Request, st *dbState, snaps []*store.Snapshot, vreq verify.Request, chainHash string) []storeVerdict {
-	ctx := r.Context()
-	out := make([]storeVerdict, len(snaps))
-	// Annotate (bounded, drop-not-grow) rather than SetAttr for the
-	// per-verdict tags: a wide fan-out cannot balloon span records.
-	chainDepth := strconv.Itoa(1 + len(vreq.Intermediates))
-	var wg sync.WaitGroup
-	for i, snap := range snaps {
-		// One child span per store verdict: the per-store wait + verify
-		// time is exactly what the fan-out hides from the aggregate
-		// request latency. Started before the semaphore acquire so queue
-		// wait is part of the span.
-		storeKey := snap.Key()
-		span := obs.StartLeafSpan(ctx, "verify.store")
-		span.Annotate("store", storeKey)
-		span.Annotate("chain_depth", chainDepth)
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			out[i] = storeVerdict{
-				Store: storeKey, Provider: snap.Provider, Date: snap.Date,
-				Outcome: "timeout", Error: ctx.Err().Error(),
-			}
-			span.Annotate("outcome", "timeout")
-			span.End()
-			continue
-		}
-		wg.Add(1)
-		go func(i int, snap *store.Snapshot, span *obs.Span) {
-			defer wg.Done()
-			defer func() { <-s.sem }()
-			defer span.End()
-			out[i] = s.verdictFor(st, snap, vreq, chainHash)
-			span.Annotate("outcome", out[i].Outcome)
-			if out[i].Cached {
-				span.Annotate("cached", "true")
-			} else {
-				span.Annotate("cached", "false")
-			}
-		}(i, snap, span)
-	}
-	wg.Wait()
-	for i := range out {
-		s.metrics.outcomes.Add(out[i].Outcome, 1)
-		s.metrics.verified.Add(1)
-	}
-	return out
-}
-
-// keyBufPool recycles verdict-cache key buffers so neither the single
-// verify path nor the batch pipeline allocates to build a key. 192 bytes
-// covers a 64-hex chain hash plus snapshot key, purpose, dns name and an
-// RFC 3339 timestamp without growth in practice.
-var keyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 192)
-	return &b
-}}
-
-// appendVerdictKey renders the verdict-cache identity of one (chain, store)
-// pair into buf: chainHash|snapKey|purpose|dns|RFC3339(at). Replaces the
-// strings.Join + time.Format pair that used to allocate on every verdict.
-func appendVerdictKey(buf []byte, chainHash, snapKey string, purpose store.Purpose, dnsName string, at time.Time) []byte {
-	buf = append(buf, chainHash...)
-	buf = append(buf, '|')
-	buf = append(buf, snapKey...)
-	buf = append(buf, '|')
-	buf = append(buf, purpose.String()...)
-	buf = append(buf, '|')
-	buf = append(buf, dnsName...)
-	buf = append(buf, '|')
-	return at.UTC().AppendFormat(buf, time.RFC3339)
-}
-
-// verdictFor computes (or recalls) one store's verdict using the
-// generation's caches.
-func (s *Server) verdictFor(st *dbState, snap *store.Snapshot, vreq verify.Request, chainHash string) storeVerdict {
-	at := vreq.At
-	if at.IsZero() {
-		at = snap.Date
-	}
-	bp := keyBufPool.Get().(*[]byte)
-	key := appendVerdictKey((*bp)[:0], chainHash, snap.Key(), vreq.Purpose, vreq.DNSName, at)
-	defer func() {
-		*bp = key
-		keyBufPool.Put(bp)
-	}()
-	if v, ok := st.verdicts.getBytes(key); ok {
-		s.metrics.cacheEvent("verdict", true)
-		v.Cached = true
-		return v
-	}
-	s.metrics.cacheEvent("verdict", false)
-
-	res := st.verifiers.get(snap).Verify(vreq)
-	v := storeVerdict{
-		Store:    snap.Key(),
-		Provider: snap.Provider,
-		Date:     snap.Date,
-		Outcome:  res.Outcome.String(),
-	}
-	if res.Anchor != nil {
-		v.AnchorFingerprint = res.Anchor.Fingerprint.String()
-		v.AnchorLabel = res.Anchor.Label
-	}
-	if res.Err != nil {
-		v.Error = res.Err.Error()
-	}
-	st.verdicts.put(string(key), v)
-	return v
-}
-
-// parseChainPEM decodes the chain (leaf first) and hashes the concatenated
-// DER — the verdict-cache identity of the chain.
-func parseChainPEM(chainPEM string) (leaf *x509.Certificate, intermediates []*x509.Certificate, chainHash string, err error) {
-	rest := []byte(chainPEM)
-	h := sha256.New()
-	var certs []*x509.Certificate
-	for {
-		var block *pem.Block
-		block, rest = pem.Decode(rest)
-		if block == nil {
-			break
-		}
-		if block.Type != "CERTIFICATE" {
-			continue
-		}
-		cert, perr := x509.ParseCertificate(block.Bytes)
-		if perr != nil {
-			return nil, nil, "", fmt.Errorf("certificate %d in chain_pem: %v", len(certs), perr)
-		}
-		h.Write(cert.Raw)
-		certs = append(certs, cert)
-	}
-	if len(certs) == 0 {
-		return nil, nil, "", errors.New("chain_pem contains no CERTIFICATE blocks")
-	}
-	return certs[0], certs[1:], hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // generationInfo identifies the serving generation in /healthz: the

@@ -26,13 +26,17 @@ var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx"}
 type Metrics struct {
 	root *expvar.Map
 
-	requests  *expvar.Map // per route: "GET /v1/providers" → count
-	status    *expvar.Map // per status class: "2xx" → count
-	outcomes  *expvar.Map // per verify outcome: "ok", "no-anchor", ...
-	cache     *expvar.Map // verifier/verdict cache hit/miss counters
-	inFlight  *expvar.Int
-	verified  *expvar.Int // total per-store verdicts computed (incl. cached)
-	rejected  *expvar.Int // requests refused before verification (4xx)
+	requests *expvar.Map // per route: "GET /v1/providers" → count
+	status   *expvar.Map // per status class: "2xx" → count
+	outcomes *expvar.Map // per verify outcome: "ok", "no-anchor", ...
+	cache    *expvar.Map // verifier/verdict cache hit/miss counters
+	inFlight *expvar.Int
+	verified *expvar.Int // total per-store verdicts computed (incl. cached)
+	rejected *expvar.Int // requests refused before verification (4xx)
+
+	// verdictHits/verdictMisses are the cache map's verdict entries,
+	// resolved once so the verify core counts with one atomic add.
+	verdictHits, verdictMisses *expvar.Int
 
 	// Batch pipeline counters (POST /v1/verify/batch).
 	batchBatches  *expvar.Int // batch requests started
@@ -76,14 +80,17 @@ type Metrics struct {
 
 func newMetrics() *Metrics {
 	m := &Metrics{
-		root:      new(expvar.Map).Init(),
-		requests:  new(expvar.Map).Init(),
-		status:    new(expvar.Map).Init(),
-		outcomes:  new(expvar.Map).Init(),
-		cache:     new(expvar.Map).Init(),
-		inFlight:  new(expvar.Int),
-		verified:  new(expvar.Int),
-		rejected:  new(expvar.Int),
+		root:     new(expvar.Map).Init(),
+		requests: new(expvar.Map).Init(),
+		status:   new(expvar.Map).Init(),
+		outcomes: new(expvar.Map).Init(),
+		cache:    new(expvar.Map).Init(),
+		inFlight: new(expvar.Int),
+		verified: new(expvar.Int),
+		rejected: new(expvar.Int),
+
+		verdictHits:   new(expvar.Int),
+		verdictMisses: new(expvar.Int),
 
 		batchBatches:  new(expvar.Int),
 		batchLines:    new(expvar.Int),
@@ -111,6 +118,8 @@ func newMetrics() *Metrics {
 	m.root.Set("status", m.status)
 	m.root.Set("verify_outcomes", m.outcomes)
 	m.root.Set("cache", m.cache)
+	m.cache.Set("verdict_hits", m.verdictHits)
+	m.cache.Set("verdict_misses", m.verdictMisses)
 	m.root.Set("latency_ms", expvar.Func(m.latencySummary))
 	m.root.Set("provider_lag_seconds", expvar.Func(m.providerLag))
 	m.root.Set("provider_kinds", expvar.Func(m.providerKinds))
@@ -304,20 +313,8 @@ func (m *Metrics) SLOBurnRates(minutes int64) (availability, latency float64, re
 	return m.slo.burnRates(minutes)
 }
 
-// cachePair returns the hit/miss counters for one cache, creating them if
-// absent. The batch hot path resolves these once per request so recording a
-// cache event is a single atomic add, not an expvar.Map walk plus a key
-// concatenation per verdict.
-func (m *Metrics) cachePair(name string) (hits, misses *expvar.Int) {
-	m.cache.Add(name+"_hits", 0)
-	m.cache.Add(name+"_misses", 0)
-	hits, _ = m.cache.Get(name + "_hits").(*expvar.Int)
-	misses, _ = m.cache.Get(name + "_misses").(*expvar.Int)
-	return hits, misses
-}
-
 // outcomeCounter returns the counter for one verify outcome, creating it if
-// absent (same rationale as cachePair).
+// absent, so callers can cache it and count with a single atomic add.
 func (m *Metrics) outcomeCounter(outcome string) *expvar.Int {
 	m.outcomes.Add(outcome, 0)
 	ctr, _ := m.outcomes.Get(outcome).(*expvar.Int)

@@ -18,8 +18,10 @@
 //     (chain-hash, snapshot, purpose, dns, time). Both caches belong to
 //     the state they were built against and are dropped wholesale on swap,
 //     so a re-ingested snapshot can never serve stale verdicts.
-//   - POST /v1/verify fans out across the requested stores under a bounded
-//     worker semaphore and honours per-request context timeouts.
+//   - POST /v1/verify and POST /v1/verify/batch share one verify core
+//     (verify.go): a single verify is a batch of one. Cold verifications
+//     run under a bounded worker semaphore and honour per-request context
+//     timeouts.
 //   - GET /v1/events replays the tracker's change-event log and
 //     /v1/events/watch streams it live (SSE) when a tracker is attached.
 package service
@@ -169,6 +171,7 @@ type Server struct {
 	state   atomic.Pointer[dbState]
 	events  EventFeed
 	sem     chan struct{}
+	scratch sync.Pool // *verifyScratch, reused across requests and batch workers
 	metrics *Metrics
 	tracer  *obs.Tracer
 	log     *slog.Logger
@@ -202,6 +205,7 @@ func New(db *store.Database, cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.VerifyWorkers),
 		mux:     http.NewServeMux(),
 	}
+	s.scratch.New = newVerifyScratch
 	s.install(db, hashTag(cfg.DatabaseHash), s.epochCounter.Add(1))
 
 	s.route("GET /v1/providers", s.handleProviders)

@@ -358,12 +358,18 @@ func TestVerifyBadInputs(t *testing.T) {
 		}
 	}
 
-	// Broken JSON.
-	req := httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader("{not json"))
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("broken JSON status = %d, want 400", rec.Code)
+	// Broken JSON, and a valid object followed by trailing data.
+	raw, _ := json.Marshal(map[string]any{"chain_pem": chain})
+	for name, body := range map[string]string{
+		"broken JSON":   "{not json",
+		"trailing data": string(raw) + " garbage",
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s status = %d, want 400", name, rec.Code)
+		}
 	}
 }
 

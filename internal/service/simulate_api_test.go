@@ -142,6 +142,15 @@ func TestSimulateErrorsOverHTTP(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (%v)", tc.name, res.StatusCode, tc.want, out)
 		}
 	}
+
+	// A valid event followed by trailing data is malformed, not ignored.
+	raw, _ := json.Marshal(map[string]any{"kind": "removal", "fingerprints": []string{fp}})
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(string(raw)+" garbage"))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("trailing data: status = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
 }
 
 func TestSimulateSweepCachingAndETag(t *testing.T) {
@@ -151,9 +160,9 @@ func TestSimulateSweepCachingAndETag(t *testing.T) {
 	srv := service.New(eco.DB, service.Config{})
 
 	var resp struct {
-		Pairs   int `json:"pairs"`
-		Roots   int `json:"roots"`
-		Top     []struct {
+		Pairs int `json:"pairs"`
+		Roots int `json:"roots"`
+		Top   []struct {
 			Fingerprint string  `json:"fingerprint"`
 			Store       string  `json:"store"`
 			Impact      float64 `json:"impact"`

@@ -85,8 +85,8 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // BenchmarkVerifyPrebuiltPool measures the batch path: one intermediates
-// pool built up front and shared across every call — what fanoutVerify and
-// the /v1/verify/batch pipeline do per chain.
+// pool built up front and shared across every call — what the service's
+// verify core does per chain.
 func BenchmarkVerifyPrebuiltPool(b *testing.B) {
 	v, req := benchChain(b, 16)
 	req.InterPool = PoolIntermediates(req.Intermediates)

@@ -138,7 +138,7 @@ type Request struct {
 	Intermediates []*x509.Certificate
 	// InterPool, when non-nil, is a caller-built pool holding exactly the
 	// Intermediates certificates. Callers verifying one chain against many
-	// snapshots (the service fan-out, the batch pipeline) build it once and
+	// snapshots (the service's verify core) build it once and
 	// reuse it across every Verify call, instead of paying a pool rebuild
 	// per (chain, store) pair.
 	InterPool *x509.CertPool
