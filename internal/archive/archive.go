@@ -55,11 +55,7 @@
 // *x509.Certificate and DER across every snapshot that references it.
 package archive
 
-import (
-	"fmt"
-
-	"repro/internal/certutil"
-)
+import "fmt"
 
 // Format constants. Bump formatVersion on any wire change; readers reject
 // versions they do not understand rather than guessing.
@@ -163,16 +159,6 @@ func IsCorrupt(err error) bool {
 			return false
 		}
 		err = u.Unwrap()
-	}
-	return false
-}
-
-// fingerprintLess orders fingerprints bytewise — the pool and table order.
-func fingerprintLess(a, b certutil.Fingerprint) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
 	}
 	return false
 }

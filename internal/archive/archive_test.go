@@ -235,7 +235,7 @@ func TestInternerAlignment(t *testing.T) {
 		}
 		if id > 0 {
 			prev, _ := in.FingerprintOf(uint32(id - 1))
-			if !fingerprintLess(prev, fp) {
+			if prev.Compare(fp) >= 0 {
 				t.Fatalf("interner ids not in fingerprint order at %d", id)
 			}
 		}

@@ -243,7 +243,7 @@ func (r *Reader) loadPool() (*pool, error) {
 		if got := certutil.SHA256Fingerprint(der); got != fps[i] {
 			return nil, corruptf("cert %d hashes to %s, table says %s", i, got.Short(), fps[i].Short())
 		}
-		if i > 0 && !fingerprintLess(prev, fps[i]) {
+		if i > 0 && prev.Compare(fps[i]) >= 0 {
 			return nil, corruptf("cert pool not sorted at index %d", i)
 		}
 		prev = fps[i]

@@ -191,7 +191,7 @@ func buildPool(db *store.Database) ([]poolEntry, map[certutil.Fingerprint]uint32
 	for fp, der := range byFP {
 		pool = append(pool, poolEntry{fp: fp, der: der})
 	}
-	sort.Slice(pool, func(i, j int) bool { return fingerprintLess(pool[i].fp, pool[j].fp) })
+	sort.Slice(pool, func(i, j int) bool { return pool[i].fp.Compare(pool[j].fp) < 0 })
 	ids := make(map[certutil.Fingerprint]uint32, len(pool))
 	for i, p := range pool {
 		ids[p.fp] = uint32(i)
@@ -236,9 +236,9 @@ func encodeSnapshot(e *enc, snap *store.Snapshot, ids map[certutil.Fingerprint]u
 	e.str(snap.Version)
 	e.instant(snap.Date)
 
-	// Entries() sorts by fingerprint and the pool assigns IDs in that same
-	// order, so iterating entries is iterating ascending IDs — labels and
-	// bitset members line up by construction.
+	// Snapshots keep their entries in fingerprint order and the pool
+	// assigns IDs in that same order, so iterating entries is iterating
+	// ascending IDs — labels and bitset members line up by construction.
 	entries := snap.Entries()
 	member := bitset.New(len(ids))
 	for _, en := range entries {

@@ -84,35 +84,85 @@ func (p *KeyPool) RSA(bits, i int) (*rsa.PrivateKey, error) {
 	return keys[((i%len(keys))+len(keys))%len(keys)], nil
 }
 
+// primeSearchSteps bounds deterministicPrime's upward search from one
+// draw: candidate i is draw + 2i.
+const primeSearchSteps = 4096
+
+// sievePrimes are the odd primes below 2^14, the trial divisors each draw's
+// search window is sieved with before any candidate is tested.
+var sievePrimes = oddPrimesBelow(1 << 14)
+
 // deterministicPrime draws a random odd candidate of exactly `bits` bits
 // from the reader and searches upward for a probable prime. Unlike
 // crypto/rand.Prime — which deliberately injects nondeterminism via
 // randutil.MaybeReadByte — this is a pure function of the reader stream,
 // which is what corpus reproducibility needs. ProbablyPrime(20) plus the
 // Baillie-PSW test it performs is deterministic for a given candidate.
+//
+// Steps whose candidate has a factor below 2^14 are sieved out up front:
+// such a candidate is composite (every candidate exceeds 2^63), so
+// ProbablyPrime would reject it anyway, and skipping it leaves the first
+// probable prime — and with it every key — unchanged.
 func deterministicPrime(r io.Reader, bits int) (*big.Int, error) {
 	if bits%8 != 0 || bits < 64 {
 		return nil, fmt.Errorf("certgen: prime bits must be a positive multiple of 8, got %d", bits)
 	}
 	buf := make([]byte, bits/8)
-	two := big.NewInt(2)
+	var composite [primeSearchSteps]bool
 	for {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
 		}
 		buf[0] |= 0xC0       // exact bit length, product reaches 2*bits
 		buf[len(buf)-1] |= 1 // odd
-		p := new(big.Int).SetBytes(buf)
-		for i := 0; i < 4096; i++ {
+		base := new(big.Int).SetBytes(buf)
+		sieveSteps(&composite, base)
+		for i := 0; i < primeSearchSteps; i++ {
+			if composite[i] {
+				continue
+			}
+			p := new(big.Int).SetInt64(int64(2 * i))
+			p.Add(p, base)
 			if p.BitLen() != bits {
 				break // ran off the top; redraw
 			}
 			if p.ProbablyPrime(20) {
 				return p, nil
 			}
-			p.Add(p, two)
 		}
 	}
+}
+
+// sieveSteps marks composite[i] when base + 2i has a factor in
+// sievePrimes. base is odd, so for each prime q the multiples of q fall on
+// every q-th step from the first i with 2i ≡ -base (mod q).
+func sieveSteps(composite *[primeSearchSteps]bool, base *big.Int) {
+	*composite = [primeSearchSteps]bool{}
+	var qb, rem big.Int
+	for _, q := range sievePrimes {
+		r := rem.Mod(base, qb.SetUint64(q)).Uint64()
+		half := (q + 1) / 2 // the inverse of 2 mod q
+		for i := (q - r) % q * half % q; i < primeSearchSteps; i += q {
+			composite[i] = true
+		}
+	}
+}
+
+// oddPrimesBelow lists the odd primes below n by the sieve of
+// Eratosthenes.
+func oddPrimesBelow(n int) []uint64 {
+	notPrime := make([]bool, n)
+	var out []uint64
+	for k := 3; k < n; k += 2 {
+		if notPrime[k] {
+			continue
+		}
+		out = append(out, uint64(k))
+		for m := k * k; m < n; m += 2 * k {
+			notPrime[m] = true
+		}
+	}
+	return out
 }
 
 // deterministicRSA builds an RSA key from primes drawn off the DRBG.

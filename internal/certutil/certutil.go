@@ -10,6 +10,7 @@
 package certutil
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/ed25519"
 	"crypto/md5"
@@ -37,6 +38,11 @@ func SHA256Fingerprint(der []byte) Fingerprint {
 
 // String renders the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// Compare orders fingerprints bytewise, returning -1, 0 or +1. Byte order
+// is lowercase-hex order, so sorting by Compare sorts by String without
+// encoding anything.
+func (f Fingerprint) Compare(g Fingerprint) int { return bytes.Compare(f[:], g[:]) }
 
 // Short returns the first eight hex characters, the abbreviation style used
 // in the paper's Appendix B tables (e.g. "beb00b30...").

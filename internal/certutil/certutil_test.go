@@ -73,6 +73,18 @@ func TestFingerprintPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFingerprintCompareIsHexOrder pins the property the sorted snapshot
+// relies on: bytewise order equals lowercase-hex string order.
+func TestFingerprintCompareIsHexOrder(t *testing.T) {
+	prop := func(a, b []byte) bool {
+		fa, fb := SHA256Fingerprint(a), SHA256Fingerprint(b)
+		return fa.Compare(fb) == strings.Compare(fa.String(), fb.String()) && fa.Compare(fa) == 0
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFingerprintUniqueness(t *testing.T) {
 	prop := func(a, b []byte) bool {
 		if string(a) == string(b) {

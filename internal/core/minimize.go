@@ -53,7 +53,7 @@ func (p *Pipeline) Minimize(s *store.Snapshot, usage Usage, targetCoverage float
 		if candidates[i].weight != candidates[j].weight {
 			return candidates[i].weight > candidates[j].weight
 		}
-		return candidates[i].entry.Fingerprint.String() < candidates[j].entry.Fingerprint.String()
+		return candidates[i].entry.Fingerprint.Compare(candidates[j].entry.Fingerprint) < 0
 	})
 
 	res := MinimizeResult{TotalWeight: total}

@@ -68,7 +68,7 @@ func (p *Pipeline) RemovedCAReport(provider string, since time.Time) []RemovedCA
 		if !rows[i].LastTrusted.Equal(rows[j].LastTrusted) {
 			return rows[i].LastTrusted.Before(rows[j].LastTrusted)
 		}
-		return rows[i].Fingerprint.String() < rows[j].Fingerprint.String()
+		return rows[i].Fingerprint.Compare(rows[j].Fingerprint) < 0
 	})
 	return rows
 }
@@ -93,7 +93,7 @@ func (p *Pipeline) CompareRemovals(provider string, since time.Time, catalog map
 		}
 	}
 	sort.Slice(unsupportedInCatalog, func(i, j int) bool {
-		return unsupportedInCatalog[i].Fingerprint.String() < unsupportedInCatalog[j].Fingerprint.String()
+		return unsupportedInCatalog[i].Fingerprint.Compare(unsupportedInCatalog[j].Fingerprint) < 0
 	})
 	return missingFromCatalog, unsupportedInCatalog
 }

@@ -53,6 +53,7 @@ type RootIndex struct {
 func BuildIndex(db *store.Database) *RootIndex {
 	in := db.Interner()
 	ix := &RootIndex{interner: in, infos: make([]*RootInfo, in.Len())}
+	trustMaps := map[uint64]map[string]string{}
 	for _, snap := range db.AllSnapshots() {
 		for _, e := range snap.Entries() {
 			id := int(in.ID(e.Fingerprint))
@@ -71,7 +72,7 @@ func BuildIndex(db *store.Database) *RootIndex {
 				ix.infos[id] = info
 				ix.roots++
 			}
-			info.Presences = append(info.Presences, presenceOf(snap, e))
+			info.Presences = append(info.Presences, presenceOf(snap, e, trustMaps))
 			if n := len(info.Providers); n == 0 || info.Providers[n-1] != snap.Provider {
 				info.Providers = append(info.Providers, snap.Provider)
 			}
@@ -80,15 +81,15 @@ func BuildIndex(db *store.Database) *RootIndex {
 	return ix
 }
 
-func presenceOf(snap *store.Snapshot, e *store.TrustEntry) Presence {
+// presenceOf renders one snapshot's view of one entry. Trust maps are
+// shared through trustMaps, keyed by the per-purpose levels: a handful of
+// level combinations covers every presence in the corpus, and presences
+// are read-only once the index is built.
+func presenceOf(snap *store.Snapshot, e *store.TrustEntry, trustMaps map[uint64]map[string]string) Presence {
 	p := Presence{Provider: snap.Provider, Version: snap.Version, Date: snap.Date}
+	var levels uint64
 	for _, purpose := range store.AllPurposes {
-		if l := e.TrustFor(purpose); l != store.Unspecified {
-			if p.Trust == nil {
-				p.Trust = make(map[string]string)
-			}
-			p.Trust[purpose.String()] = l.String()
-		}
+		levels = levels<<8 | uint64(e.TrustFor(purpose))
 		if cutoff, ok := e.DistrustAfterFor(purpose); ok {
 			if p.DistrustAfter == nil {
 				p.DistrustAfter = make(map[string]time.Time)
@@ -96,6 +97,19 @@ func presenceOf(snap *store.Snapshot, e *store.TrustEntry) Presence {
 			p.DistrustAfter[purpose.String()] = cutoff
 		}
 	}
+	trust, ok := trustMaps[levels]
+	if !ok {
+		for _, purpose := range store.AllPurposes {
+			if l := e.TrustFor(purpose); l != store.Unspecified {
+				if trust == nil {
+					trust = make(map[string]string)
+				}
+				trust[purpose.String()] = l.String()
+			}
+		}
+		trustMaps[levels] = trust
+	}
+	p.Trust = trust
 	return p
 }
 

@@ -22,9 +22,13 @@ const testTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
 // TestVerifyTraceparent drives POST /v1/verify with a W3C traceparent
 // header and follows the trace end to end: the response must echo the
 // caller's trace ID, and /debug/traces must show the request trace with
-// one verify.store child span per store in the fan-out.
+// one verify.store child span per store in the fan-out. A verify.store
+// span is opened only on a verdict-cache miss, so the test builds its own
+// server: on the shared fixture an earlier run (-count>1) or test would
+// already have cached both verdicts.
 func TestVerifyTraceparent(t *testing.T) {
-	eco, srv := fixture(t)
+	eco, _ := fixture(t)
+	srv := service.New(eco.DB, service.Config{})
 	chain, _ := symantecChain(t, eco)
 
 	raw, _ := json.Marshal(map[string]any{

@@ -2,8 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/certutil"
@@ -63,53 +62,60 @@ func (d Diff) String() string {
 // DiffSnapshots computes new-relative-to-old membership and trust changes.
 // Added and Removed are sorted by fingerprint and TrustChanges by
 // (fingerprint, purpose), so diff output — and the change events built from
-// it — is byte-stable across runs regardless of map iteration order.
+// it — is byte-stable across runs regardless of map iteration order. Both
+// snapshots keep their entries in fingerprint order, so one merge walk
+// emits every list already sorted.
 func DiffSnapshots(old, new *Snapshot) Diff {
 	var d Diff
-	for _, e := range new.Entries() {
-		prev, ok := old.Lookup(e.Fingerprint)
-		if !ok {
-			d.Added = append(d.Added, e)
-			continue
+	a, b := old.entries, new.entries
+	for len(a) > 0 || len(b) > 0 {
+		c := 1 // only a is left: the rest was removed
+		if len(a) == 0 {
+			c = -1 // only b is left: the rest was added
+		} else if len(b) > 0 {
+			c = b[0].Fingerprint.Compare(a[0].Fingerprint)
 		}
-		for _, p := range AllPurposes {
-			oldLevel, newLevel := prev.TrustFor(p), e.TrustFor(p)
-			oldDA, hadDA := prev.DistrustAfterFor(p)
-			newDA, hasDA := e.DistrustAfterFor(p)
-			daSet := hasDA && (!hadDA || !oldDA.Equal(newDA))
-			daCleared := hadDA && !hasDA
-			if oldLevel != newLevel || daSet || daCleared {
-				tc := TrustChange{
-					Fingerprint: e.Fingerprint,
-					Label:       e.Label,
-					Purpose:     p,
-					Old:         oldLevel,
-					New:         newLevel,
-				}
-				if daSet {
-					tc.DistrustAfterSet = true
-					tc.DistrustAfter = newDA
-				}
-				tc.DistrustAfterCleared = daCleared
-				d.TrustChanges = append(d.TrustChanges, tc)
-			}
+		switch {
+		case c < 0:
+			d.Added = append(d.Added, b[0])
+			b = b[1:]
+		case c > 0:
+			d.Removed = append(d.Removed, a[0])
+			a = a[1:]
+		default:
+			d.TrustChanges = appendTrustChanges(d.TrustChanges, a[0], b[0])
+			a, b = a[1:], b[1:]
 		}
 	}
-	for _, e := range old.Entries() {
-		if _, ok := new.Lookup(e.Fingerprint); !ok {
-			d.Removed = append(d.Removed, e)
-		}
-	}
-	sortEntries(d.Added)
-	sortEntries(d.Removed)
-	sort.Slice(d.TrustChanges, func(i, j int) bool {
-		a, b := d.TrustChanges[i], d.TrustChanges[j]
-		if c := strings.Compare(a.Fingerprint.String(), b.Fingerprint.String()); c != 0 {
-			return c < 0
-		}
-		return a.Purpose < b.Purpose
-	})
 	return d
+}
+
+// appendTrustChanges appends, in purpose order, the trust transitions of
+// one certificate present in both snapshots.
+func appendTrustChanges(out []TrustChange, prev, e *TrustEntry) []TrustChange {
+	for _, p := range AllPurposes {
+		oldLevel, newLevel := prev.TrustFor(p), e.TrustFor(p)
+		oldDA, hadDA := prev.DistrustAfterFor(p)
+		newDA, hasDA := e.DistrustAfterFor(p)
+		daSet := hasDA && (!hadDA || !oldDA.Equal(newDA))
+		daCleared := hadDA && !hasDA
+		if oldLevel != newLevel || daSet || daCleared {
+			tc := TrustChange{
+				Fingerprint: e.Fingerprint,
+				Label:       e.Label,
+				Purpose:     p,
+				Old:         oldLevel,
+				New:         newLevel,
+			}
+			if daSet {
+				tc.DistrustAfterSet = true
+				tc.DistrustAfter = newDA
+			}
+			tc.DistrustAfterCleared = daCleared
+			out = append(out, tc)
+		}
+	}
+	return out
 }
 
 // SetDiff compares the purpose-trusted sets of two snapshots: fingerprints
@@ -129,16 +135,8 @@ func SetDiff(a, b *Snapshot, p Purpose) (onlyA, onlyB, both []certutil.Fingerpri
 			onlyB = append(onlyB, fp)
 		}
 	}
-	sortFingerprints(onlyA)
-	sortFingerprints(onlyB)
-	sortFingerprints(both)
+	slices.SortFunc(onlyA, certutil.Fingerprint.Compare)
+	slices.SortFunc(onlyB, certutil.Fingerprint.Compare)
+	slices.SortFunc(both, certutil.Fingerprint.Compare)
 	return onlyA, onlyB, both
-}
-
-func sortFingerprints(fps []certutil.Fingerprint) {
-	for i := 1; i < len(fps); i++ {
-		for j := i; j > 0 && strings.Compare(fps[j].String(), fps[j-1].String()) < 0; j-- {
-			fps[j], fps[j-1] = fps[j-1], fps[j]
-		}
-	}
 }

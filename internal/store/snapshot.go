@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,6 +24,10 @@ type Snapshot struct {
 	// The zero value means KindTLS; compare via Kind.Normalize().
 	Kind Kind
 
+	// entries is kept in ascending fingerprint order (bytewise, which is
+	// lowercase-hex order) by Add and Remove, so every walk over it —
+	// Entries, diffs, archive encoding, the root index — is already in
+	// canonical order without sorting.
 	entries []*TrustEntry
 	byFP    map[certutil.Fingerprint]*TrustEntry
 
@@ -48,15 +53,10 @@ func NewSnapshot(provider, version string, date time.Time) *Snapshot {
 // Add inserts an entry, replacing any previous entry with the same
 // fingerprint (matching how stores themselves are keyed by certificate).
 func (s *Snapshot) Add(e *TrustEntry) {
-	if prev, ok := s.byFP[e.Fingerprint]; ok {
-		for i, x := range s.entries {
-			if x == prev {
-				s.entries[i] = e
-				break
-			}
-		}
+	if i, found := s.search(e.Fingerprint); found {
+		s.entries[i] = e
 	} else {
-		s.entries = append(s.entries, e)
+		s.entries = slices.Insert(s.entries, i, e)
 	}
 	s.byFP[e.Fingerprint] = e
 	s.invalidateBits()
@@ -65,19 +65,22 @@ func (s *Snapshot) Add(e *TrustEntry) {
 // Remove deletes the entry with the fingerprint; it reports whether an entry
 // was present.
 func (s *Snapshot) Remove(fp certutil.Fingerprint) bool {
-	e, ok := s.byFP[fp]
-	if !ok {
+	i, found := s.search(fp)
+	if !found {
 		return false
 	}
+	s.entries = slices.Delete(s.entries, i, i+1)
 	delete(s.byFP, fp)
-	for i, x := range s.entries {
-		if x == e {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			break
-		}
-	}
 	s.invalidateBits()
 	return true
+}
+
+// search finds fp in the fingerprint-ordered entries: its index and true
+// when present, else the index it would be inserted at.
+func (s *Snapshot) search(fp certutil.Fingerprint) (int, bool) {
+	return slices.BinarySearchFunc(s.entries, fp, func(e *TrustEntry, fp certutil.Fingerprint) int {
+		return e.Fingerprint.Compare(fp)
+	})
 }
 
 // Lookup returns the entry with the fingerprint, if present.
@@ -104,9 +107,7 @@ func (s *Snapshot) Len() int { return len(s.entries) }
 // Entries returns the entries sorted by fingerprint. The returned slice is
 // fresh; entries are shared.
 func (s *Snapshot) Entries() []*TrustEntry {
-	out := append([]*TrustEntry(nil), s.entries...)
-	sortEntries(out)
-	return out
+	return slices.Clone(s.entries)
 }
 
 // TrustedSet returns the fingerprints trusted for the purpose, the set the
@@ -219,14 +220,7 @@ func (s *Snapshot) ExpiredCount(p Purpose) int {
 }
 
 // Clone deep-copies the snapshot.
-func (s *Snapshot) Clone() *Snapshot {
-	c := NewSnapshot(s.Provider, s.Version, s.Date)
-	c.Kind = s.Kind
-	for _, e := range s.entries {
-		c.Add(e.Clone())
-	}
-	return c
-}
+func (s *Snapshot) Clone() *Snapshot { return s.copyWith((*TrustEntry).Clone) }
 
 // ShareClone returns a fresh snapshot shell sharing the receiver's entry
 // pointers. Entries are immutable once ingested (the convention that already
@@ -235,10 +229,20 @@ func (s *Snapshot) Clone() *Snapshot {
 // while the fresh shell keeps the new database's interner attachment and
 // bitset memos from mutating the generation still being served.
 func (s *Snapshot) ShareClone() *Snapshot {
+	return s.copyWith(func(e *TrustEntry) *TrustEntry { return e })
+}
+
+// copyWith builds a new snapshot shell over copyEntry applied to each
+// entry. The source is in fingerprint order, so the copy is too.
+func (s *Snapshot) copyWith(copyEntry func(*TrustEntry) *TrustEntry) *Snapshot {
 	c := NewSnapshot(s.Provider, s.Version, s.Date)
 	c.Kind = s.Kind
-	for _, e := range s.entries {
-		c.Add(e)
+	c.entries = make([]*TrustEntry, len(s.entries))
+	c.byFP = make(map[certutil.Fingerprint]*TrustEntry, len(s.entries))
+	for i, e := range s.entries {
+		e = copyEntry(e)
+		c.entries[i] = e
+		c.byFP[e.Fingerprint] = e
 	}
 	return c
 }

@@ -15,7 +15,6 @@ package store
 import (
 	"crypto/x509"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -205,11 +204,4 @@ func (e *TrustEntry) String() string {
 		}
 	}
 	return fmt.Sprintf("%s %s [%s]", e.Fingerprint.Short(), e.Label, strings.Join(trusts, ", "))
-}
-
-// sortEntries orders entries deterministically by fingerprint.
-func sortEntries(entries []*TrustEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return strings.Compare(entries[i].Fingerprint.String(), entries[j].Fingerprint.String()) < 0
-	})
 }

@@ -17,9 +17,13 @@ package synth
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/certgen"
+	"repro/internal/certutil"
 	"repro/internal/paperdata"
 	"repro/internal/store"
 )
@@ -58,7 +62,7 @@ type CA struct {
 	// JoinYear is the nominal year the CA entered the ecosystem.
 	JoinYear int
 
-	proto *store.TrustEntry // parsed-once prototype, cloned per snapshot
+	fp certutil.Fingerprint // of Root.DER, computed once at minting
 }
 
 // Universe is the full CA population, indexed by name.
@@ -93,19 +97,18 @@ func (u *Universe) ByIncident(name string) []*CA {
 	return out
 }
 
-// Entry builds a fresh trust entry for a CA (no purposes set). The DER is
-// parsed once per CA; clones share the parsed certificate.
+// Entry builds a fresh trust entry for a CA (no purposes set). Entries
+// share the minted DER and parsed certificate, both immutable by the same
+// convention archive-decoded entries share them under, so a snapshot costs
+// a small struct per member rather than a copy of every certificate.
 func (ca *CA) Entry() *store.TrustEntry {
-	if ca.proto == nil {
-		e, err := store.NewEntry(ca.Root.DER)
-		if err != nil {
-			// Minting already parsed the certificate; failure here is a bug.
-			panic(fmt.Sprintf("synth: entry for %s: %v", ca.Name, err))
-		}
-		e.Label = ca.Name
-		ca.proto = e
+	return &store.TrustEntry{
+		DER:         ca.Root.DER,
+		Cert:        ca.Root.Cert,
+		Fingerprint: ca.fp,
+		Label:       ca.Name,
+		Trust:       make(map[store.Purpose]store.TrustLevel),
 	}
-	return ca.proto.Clone()
 }
 
 // universeSpec is one row of the population plan.
@@ -325,14 +328,18 @@ func NewUniverse(seed string) (*Universe, error) {
 		notBefore: date(2013, 1, 1), notAfter: date(2043, 1, 1), joinYear: 2015,
 	})
 
-	keyIdx := 0
+	// Plan every CA serially — key indices follow spec order — then mint
+	// the roots in parallel. Minting is a pure function of the RootSpec
+	// and its pooled key (RSA PKCS#1 v1.5 and the package's ECDSA signing
+	// are both deterministic), so the DER does not depend on scheduling.
+	var rootSpecs []certgen.RootSpec
 	for _, spec := range specs {
 		for i := 0; i < spec.count; i++ {
 			name := spec.namePrefix
 			if spec.count > 1 {
 				name = fmt.Sprintf("%s Root %d", spec.namePrefix, i+1)
 			}
-			root, err := certgen.NewRoot(u.pool, certgen.RootSpec{
+			rootSpecs = append(rootSpecs, certgen.RootSpec{
 				Name:      name,
 				Org:       name + " Org",
 				Country:   "US",
@@ -340,23 +347,52 @@ func NewUniverse(seed string) (*Universe, error) {
 				Sig:       spec.sig,
 				NotBefore: spec.notBefore,
 				NotAfter:  spec.notAfter,
-				KeyIndex:  keyIdx,
+				KeyIndex:  len(rootSpecs),
 			})
-			if err != nil {
-				return nil, fmt.Errorf("synth: mint %q: %w", name, err)
-			}
-			keyIdx++
-			ca := &CA{
+			u.CAs = append(u.CAs, &CA{
 				Name:     name,
 				Category: spec.category,
-				Root:     root,
 				Incident: spec.incident,
 				Program:  spec.program,
 				JoinYear: spec.joinYear,
-			}
-			u.CAs = append(u.CAs, ca)
-			u.byName[name] = ca
+			})
 		}
 	}
+	roots, err := mintAll(u.pool, rootSpecs)
+	if err != nil {
+		return nil, err
+	}
+	for i, ca := range u.CAs {
+		ca.Root = roots[i]
+		ca.fp = certutil.SHA256Fingerprint(roots[i].DER)
+		u.byName[ca.Name] = ca
+	}
 	return u, nil
+}
+
+// mintAll mints one root per spec on GOMAXPROCS workers, each pulling the
+// next index off an atomic counter and writing its own slot. The first
+// failure in spec order is reported, so errors are as deterministic as the
+// output.
+func mintAll(pool *certgen.KeyPool, specs []certgen.RootSpec) ([]*certgen.Root, error) {
+	roots := make([]*certgen.Root, len(specs))
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
+				roots[i], errs[i] = certgen.NewRoot(pool, specs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("synth: mint %q: %w", specs[i].Name, err)
+		}
+	}
+	return roots, nil
 }
