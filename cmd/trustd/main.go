@@ -24,7 +24,7 @@
 //	GET  /v1/events                         change-event replay (with -watch)
 //	GET  /v1/events/watch                   live change stream, SSE (with -watch)
 //	GET  /healthz                           liveness + corpus size
-//	GET  /metrics                           expvar counters (JSON)
+//	GET  /metrics                           metric registry as JSON (same series)
 //	GET  /metrics/prometheus                Prometheus text exposition
 //	GET  /debug/traces                      recent + slowest request traces
 //
@@ -166,7 +166,7 @@ func main() {
 		Tracer:           tracer,
 		DatabaseHash:     dbHash,
 	})
-	expvar.Publish("trustd", srv.Metrics().Map())
+	expvar.Publish("trustd", srv.Metrics())
 
 	if *origin {
 		org := cluster.NewOrigin(cluster.OriginOptions{Logger: logger, Tracer: tracer})
@@ -177,7 +177,7 @@ func main() {
 		}
 		clusterOrigin.Store(org)
 		srv.Mount("/cluster/", org.Handler())
-		srv.AddStatsSource(org)
+		srv.Metrics().Include(org.Metrics())
 		// The origin serves the exact generation it advertises: adopt the
 		// manifest's hash and epoch rather than re-deriving them.
 		if hb, err := m.HashBytes(); err == nil {
@@ -189,7 +189,7 @@ func main() {
 		if hb, err := repManifest.HashBytes(); err == nil {
 			srv.SwapArchive(db, hb, repManifest.Epoch)
 		}
-		srv.AddStatsSource(rep)
+		srv.Metrics().Include(rep.Metrics())
 		watchSrv.Store(srv)
 		go func() {
 			if err := rep.Run(ctx); err != nil && ctx.Err() == nil {
@@ -201,6 +201,7 @@ func main() {
 	}
 	if trk != nil {
 		srv.AttachEvents(trk)
+		srv.Metrics().Include(trk.Metrics())
 		watchSrv.Store(srv)
 		go trk.Run(ctx)
 		st := src.SourceStats()

@@ -71,7 +71,7 @@ func smokeClusterScenario(logger *slog.Logger) error {
 		originSrv.SwapArchive(db1, hb, m1.Epoch)
 	}
 	originSrv.Mount("/cluster/", org.Handler())
-	originSrv.AddStatsSource(org)
+	originSrv.Metrics().Include(org.Metrics())
 	originNode, err := serveNode(originSrv)
 	if err != nil {
 		return err
@@ -231,7 +231,7 @@ func smokeReplicaNode(ctx context.Context, originURL string, logger *slog.Logger
 	if hb, err := m.HashBytes(); err == nil {
 		srv.SwapArchive(db, hb, m.Epoch)
 	}
-	srv.AddStatsSource(rep)
+	srv.Metrics().Include(rep.Metrics())
 	srvPtr.Store(srv)
 	runCtx, stopRun := context.WithCancel(ctx)
 	go rep.Run(runCtx)

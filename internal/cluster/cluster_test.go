@@ -38,7 +38,7 @@ func testDB(t *testing.T, version string, idx ...int) *store.Database {
 	for _, provider := range []string{"NSS", "Debian"} {
 		snap := store.NewSnapshot(provider, version, ts(2021, 6, 1))
 		for _, i := range idx {
-			e, err := store.NewTrustedEntry(testcerts.Roots(i+1)[i].DER, store.ServerAuth)
+			e, err := store.NewTrustedEntry(testcerts.Roots(i + 1)[i].DER, store.ServerAuth)
 			if err != nil {
 				t.Fatal(err)
 			}

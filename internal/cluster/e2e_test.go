@@ -8,11 +8,13 @@ package cluster_test
 // the replica-lag/epoch gauges on /metrics/prometheus.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,7 +69,7 @@ func startReplicaNode(t *testing.T, originURL string) *replicaNode {
 		t.Fatal(err)
 	}
 	svc.SwapArchive(db, hb, m.Epoch)
-	svc.AddStatsSource(rep)
+	svc.Metrics().Include(rep.Metrics())
 	svcPtr.Store(svc)
 	go rep.Run(ctx)
 	web := httptest.NewServer(svc.Handler())
@@ -115,7 +117,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	hb1, _ := m1.HashBytes()
 	originSvc.SwapArchive(db1, hb1, m1.Epoch)
 	originSvc.Mount("/cluster/", org.Handler())
-	originSvc.AddStatsSource(org)
+	originSvc.Metrics().Include(org.Metrics())
 	gate := &faultGate{inner: originSvc.Handler()}
 	originWeb := httptest.NewServer(gate)
 	defer originWeb.Close()
@@ -231,6 +233,28 @@ func TestClusterEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(repText, want) {
 			t.Errorf("replica exposition missing %q", want)
+		}
+	}
+	// The replica's /metrics JSON carries the same cluster series; the lag
+	// moves between the two reads, so only its presence is compared.
+	res, err = http.Get(nodes[0].web.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view map[string]any
+	err = json.NewDecoder(res.Body).Decode(&view)
+	res.Body.Close()
+	if err != nil {
+		t.Fatalf("replica /metrics: %v", err)
+	}
+	for _, line := range strings.Split(repText, "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(name, "trustd_cluster_") {
+			continue
+		}
+		got, ok := view[name].(float64)
+		if v, err := strconv.ParseFloat(value, 64); !ok || err != nil || (got != v && name != "trustd_cluster_replica_lag_seconds") {
+			t.Errorf("replica %s: exposition %s, /metrics JSON %v", name, value, view[name])
 		}
 	}
 	orgText := promText(t, originWeb.URL)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -45,11 +44,9 @@ type Origin struct {
 	prevBlob []byte
 	notify   chan struct{} // closed (and replaced) on each publish
 
-	publishes    atomic.Uint64
-	manifestReqs atomic.Uint64
-	archiveReqs  atomic.Uint64
-	bytesServed  atomic.Uint64
-	waiters      atomic.Int64
+	metrics                                           *obs.Registry
+	publishes, manifestReqs, archiveReqs, bytesServed *obs.CounterVar
+	waiters                                           *obs.GaugeVar
 }
 
 // NewOrigin builds an origin with no published archive; its handler
@@ -61,13 +58,27 @@ func NewOrigin(opts OriginOptions) *Origin {
 	if opts.MaxWait <= 0 {
 		opts.MaxWait = 60 * time.Second
 	}
-	return &Origin{
+	o := &Origin{
 		log:     opts.Logger,
 		tracer:  opts.Tracer,
 		maxWait: opts.MaxWait,
 		notify:  make(chan struct{}),
+		metrics: obs.NewRegistry(),
 	}
+	r := o.metrics
+	r.GaugeFunc("trustd_cluster_origin_epoch", "Epoch of the archive the origin currently offers.",
+		func() float64 { m, _ := o.Manifest(); return float64(m.Epoch) })
+	o.publishes = r.Counter("trustd_cluster_publishes_total", "Distinct archives published by the origin.")
+	o.manifestReqs = r.Counter("trustd_cluster_manifest_requests_total", "Manifest requests served.")
+	o.archiveReqs = r.Counter("trustd_cluster_archive_requests_total", "Archive blob requests served.")
+	o.bytesServed = r.Counter("trustd_cluster_archive_bytes_total", "Archive bytes written to replicas.")
+	o.waiters = r.Gauge("trustd_cluster_manifest_waiters", "Long-poll manifest requests currently parked.")
+	return o
 }
+
+// Metrics returns the origin's metric registry, for the hosting server to
+// include.
+func (o *Origin) Metrics() *obs.Registry { return o.metrics }
 
 // Publish encodes db into a fresh rootpack archive and offers it to the
 // fleet. Publishing a database whose archive hashes identically to the
@@ -122,7 +133,7 @@ func (o *Origin) publishBlob(blob []byte, hash [archive.HashLen]byte) Manifest {
 	o.notify = make(chan struct{})
 	o.mu.Unlock()
 
-	o.publishes.Add(1)
+	o.publishes.Inc()
 	o.log.Info("cluster: published archive",
 		"hash", m.Hash[:12], "size", m.Size, "epoch", m.Epoch)
 	return m
@@ -158,7 +169,7 @@ func (o *Origin) Handler() http.Handler {
 // or the wait elapses (304). Without wait it behaves as a plain
 // conditional GET.
 func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
-	o.manifestReqs.Add(1)
+	o.manifestReqs.Inc()
 
 	var wait time.Duration
 	if v := r.URL.Query().Get("wait"); v != "" {
@@ -208,7 +219,7 @@ func (o *Origin) handleManifest(w http.ResponseWriter, r *http.Request) {
 // http.ServeContent supplies Range semantics, which is what makes replica
 // download resume work.
 func (o *Origin) handleArchive(w http.ResponseWriter, r *http.Request) {
-	o.archiveReqs.Add(1)
+	o.archiveReqs.Inc()
 	hash := r.PathValue("hash")
 
 	o.mu.Lock()
@@ -234,7 +245,7 @@ func (o *Origin) handleArchive(w http.ResponseWriter, r *http.Request) {
 	// Immutable content: the modtime is irrelevant for caching (the hash is
 	// the identity), but ServeContent wants one for Last-Modified.
 	http.ServeContent(cw, r, hash+".rootpack", m.CompiledAt, bytes.NewReader(blob))
-	o.bytesServed.Add(uint64(cw.n))
+	o.bytesServed.Add(float64(cw.n))
 }
 
 type countingWriter struct {
@@ -246,21 +257,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.ResponseWriter.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// StatsFamilies exports the origin's distribution metrics; it satisfies
-// service.StatsSource so cmd/trustd can register the origin on the node's
-// /metrics/prometheus endpoint.
-func (o *Origin) StatsFamilies(prefix string) []obs.MetricFamily {
-	m, _ := o.Manifest()
-	return []obs.MetricFamily{
-		obs.GaugeFamily(prefix+"cluster_origin_epoch", "Epoch of the archive the origin currently offers.", float64(m.Epoch)),
-		obs.CounterFamily(prefix+"cluster_publishes_total", "Distinct archives published by the origin.", float64(o.publishes.Load())),
-		obs.CounterFamily(prefix+"cluster_manifest_requests_total", "Manifest requests served.", float64(o.manifestReqs.Load())),
-		obs.CounterFamily(prefix+"cluster_archive_requests_total", "Archive blob requests served.", float64(o.archiveReqs.Load())),
-		obs.CounterFamily(prefix+"cluster_archive_bytes_total", "Archive bytes written to replicas.", float64(o.bytesServed.Load())),
-		obs.GaugeFamily(prefix+"cluster_manifest_waiters", "Long-poll manifest requests currently parked.", float64(o.waiters.Load())),
-	}
 }
 
 func hexHash(h [archive.HashLen]byte) string {

@@ -101,13 +101,10 @@ type Replica struct {
 	current Manifest // last manifest successfully synced (zero before first)
 	db      *store.Database
 
-	originEpoch atomic.Uint64 // newest epoch the origin has advertised
-	syncedEpoch atomic.Uint64 // epoch this replica serves
-	lastSync    atomic.Int64  // unix seconds of last successful sync
-	fetchErrors atomic.Uint64
-	swaps       atomic.Uint64
-	fetchBytes  atomic.Uint64
-	resumes     atomic.Uint64
+	metrics                                 *obs.Registry
+	originEpoch, syncedEpoch                *obs.GaugeVar
+	lastSync                                atomic.Int64 // unix seconds of last successful sync
+	fetchErrors, swaps, fetchBytes, resumes *obs.CounterVar
 }
 
 // NewReplica validates the config and prepares the cache directory. It
@@ -117,8 +114,30 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{cfg: cfg, log: cfg.Logger}, nil
+	rep := &Replica{cfg: cfg, log: cfg.Logger, metrics: obs.NewRegistry()}
+	r := rep.metrics
+	rep.syncedEpoch = r.Gauge("trustd_cluster_replica_epoch", "Epoch of the generation this replica serves.")
+	rep.originEpoch = r.Gauge("trustd_cluster_origin_epoch", "Newest epoch the origin has advertised to this replica.")
+	// The lag is the time since the last successful manifest check: a
+	// replica that cannot reach its origin shows unbounded growth here,
+	// while origin minus replica epoch shows how many generations behind
+	// it is.
+	r.GaugeFunc("trustd_cluster_replica_lag_seconds", "Seconds since the last successful manifest check.", func() float64 {
+		if ts := rep.lastSync.Load(); ts > 0 {
+			return time.Since(time.Unix(ts, 0)).Seconds()
+		}
+		return 0
+	})
+	rep.fetchErrors = r.Counter("trustd_cluster_fetch_errors_total", "Failed sync attempts.")
+	rep.swaps = r.Counter("trustd_cluster_swaps_total", "Generations installed by this replica.")
+	rep.fetchBytes = r.Counter("trustd_cluster_fetch_bytes_total", "Archive bytes downloaded.")
+	rep.resumes = r.Counter("trustd_cluster_resumes_total", "Downloads resumed from a partial file.")
+	return rep, nil
 }
+
+// Metrics returns the replica's metric registry, for the hosting server
+// to include.
+func (r *Replica) Metrics() *obs.Registry { return r.metrics }
 
 // Current returns the manifest of the generation this replica serves; ok
 // is false before the first successful sync or cache load.
@@ -144,7 +163,7 @@ func (r *Replica) Bootstrap(ctx context.Context) (*store.Database, Manifest, err
 		} else if ctx.Err() != nil {
 			return nil, Manifest{}, ctx.Err()
 		} else {
-			r.fetchErrors.Add(1)
+			r.fetchErrors.Inc()
 			if db, m, ok := r.loadNewestCached(); ok {
 				r.log.Warn("cluster: origin unreachable at bootstrap, serving cached generation",
 					"err", err, "hash", m.Hash[:12], "epoch", m.Epoch)
@@ -175,7 +194,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		}
 		var sleep time.Duration
 		if err != nil {
-			r.fetchErrors.Add(1)
+			r.fetchErrors.Inc()
 			sleep = bo.next()
 			r.log.Warn("cluster: sync failed", "err", err, "backoff", sleep)
 		} else {
@@ -214,7 +233,7 @@ func (r *Replica) SyncOnce(ctx context.Context) (swapped bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	r.originEpoch.Store(m.Epoch)
+	r.originEpoch.Set(float64(m.Epoch))
 	if !changed {
 		r.lastSync.Store(time.Now().Unix())
 		return false, nil
@@ -347,7 +366,7 @@ func (r *Replica) download(ctx context.Context, m Manifest, path string) error {
 	switch res.StatusCode {
 	case http.StatusPartialContent:
 		flags |= os.O_APPEND
-		r.resumes.Add(1)
+		r.resumes.Inc()
 	case http.StatusOK:
 		flags |= os.O_TRUNC // origin ignored the range; start over
 	default:
@@ -358,7 +377,7 @@ func (r *Replica) download(ctx context.Context, m Manifest, path string) error {
 		return err
 	}
 	n, copyErr := io.Copy(f, res.Body)
-	r.fetchBytes.Add(uint64(n))
+	r.fetchBytes.Add(float64(n))
 	if err := f.Close(); err != nil && copyErr == nil {
 		copyErr = err
 	}
@@ -426,7 +445,7 @@ func (r *Replica) adoptEpoch(e uint64) {
 		r.current.Epoch = e
 	}
 	r.mu.Unlock()
-	r.syncedEpoch.Store(e)
+	r.syncedEpoch.Set(float64(e))
 }
 
 // install records the new serving generation and, when notify is set,
@@ -435,10 +454,10 @@ func (r *Replica) install(db *store.Database, m Manifest, notify bool) {
 	r.mu.Lock()
 	r.current, r.db = m, db
 	r.mu.Unlock()
-	r.syncedEpoch.Store(m.Epoch)
-	r.originEpoch.Store(max(r.originEpoch.Load(), m.Epoch))
+	r.syncedEpoch.Set(float64(m.Epoch))
+	r.originEpoch.Set(max(r.originEpoch.Value(), float64(m.Epoch)))
 	r.lastSync.Store(time.Now().Unix())
-	r.swaps.Add(1)
+	r.swaps.Inc()
 	if notify && r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(db, m)
 	}
@@ -527,27 +546,6 @@ func (r *Replica) pruneCache(keepHash string) {
 		if filepath.Base(p.path) != keepHash+".rootpack" {
 			os.Remove(p.path)
 		}
-	}
-}
-
-// StatsFamilies exports the replica's convergence metrics; it satisfies
-// service.StatsSource. cluster_replica_lag_seconds is the time since the
-// last successful manifest check — a replica that cannot reach its origin
-// shows unbounded growth here while cluster_origin_epoch minus
-// cluster_replica_epoch exposes how many generations behind it is.
-func (r *Replica) StatsFamilies(prefix string) []obs.MetricFamily {
-	var lag float64
-	if ts := r.lastSync.Load(); ts > 0 {
-		lag = time.Since(time.Unix(ts, 0)).Seconds()
-	}
-	return []obs.MetricFamily{
-		obs.GaugeFamily(prefix+"cluster_replica_epoch", "Epoch of the generation this replica serves.", float64(r.syncedEpoch.Load())),
-		obs.GaugeFamily(prefix+"cluster_origin_epoch", "Newest epoch the origin has advertised to this replica.", float64(r.originEpoch.Load())),
-		obs.GaugeFamily(prefix+"cluster_replica_lag_seconds", "Seconds since the last successful manifest check.", lag),
-		obs.CounterFamily(prefix+"cluster_fetch_errors_total", "Failed sync attempts.", float64(r.fetchErrors.Load())),
-		obs.CounterFamily(prefix+"cluster_swaps_total", "Generations installed by this replica.", float64(r.swaps.Load())),
-		obs.CounterFamily(prefix+"cluster_fetch_bytes_total", "Archive bytes downloaded.", float64(r.fetchBytes.Load())),
-		obs.CounterFamily(prefix+"cluster_resumes_total", "Downloads resumed from a partial file.", float64(r.resumes.Load())),
 	}
 }
 

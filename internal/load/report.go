@@ -66,15 +66,15 @@ var statusClassNames = [6]string{"other", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
 func (r *Runner) buildReport(requested, issued int, interval time.Duration, issueWall, totalWall time.Duration) *Report {
 	rep := &Report{
-		Schema:              "trustd-loadgen/1",
-		TargetRPS:           r.opts.RPS,
-		DurationS:           r.opts.Duration.Seconds(),
-		Requested:           requested,
-		Issued:              issued,
-		Seed:                r.opts.Seed,
-		Classes:             map[string]*ClassReport{},
-		BucketBoundsSeconds: obs.HDRBounds(),
-		Generations:         map[string]uint64{},
+		Schema:                  "trustd-loadgen/1",
+		TargetRPS:               r.opts.RPS,
+		DurationS:               r.opts.Duration.Seconds(),
+		Requested:               requested,
+		Issued:                  issued,
+		Seed:                    r.opts.Seed,
+		Classes:                 map[string]*ClassReport{},
+		BucketBoundsSeconds:     obs.HDRBounds(),
+		Generations:             map[string]uint64{},
 		MixedGenerationVerdicts: r.mixed.Load(),
 		WatchStreams:            r.opts.WatchStreams,
 		WatchEventsReceived:     r.watchEvents.Load(),

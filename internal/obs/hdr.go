@@ -21,6 +21,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -119,15 +120,45 @@ type Exemplar struct {
 
 // HDRHistogram is a concurrent log-linear histogram over the shared
 // bounds. Observations are two atomic adds (bucket count + sum); no
-// locks, no allocation. Exemplar capture allocates one small record and
-// is only taken for traced observations.
+// locks, no allocation, exemplar capture included.
 type HDRHistogram struct {
 	counts []atomic.Uint64
 	sumNs  atomic.Int64
 	// exemplars holds the latest traced observation per bucket; nil
 	// when the histogram was built without exemplar capture (client
 	// side, where there is no trace to link).
-	exemplars []atomic.Pointer[Exemplar]
+	exemplars []exemplarSlot
+}
+
+// exemplarSlot stores one bucket's exemplar in place, so capturing it
+// allocates nothing. busy is a try-lock: a writer that finds it held drops
+// its exemplar (the one being written is as fresh), so observing never
+// waits; a reader waits out the few stores a writer holds it for.
+type exemplarSlot struct {
+	busy  atomic.Bool
+	trace TraceID
+	d     time.Duration
+	unix  int64
+}
+
+func (e *exemplarSlot) store(trace TraceID, d time.Duration) {
+	if e.busy.CompareAndSwap(false, true) {
+		e.trace, e.d, e.unix = trace, d, time.Now().Unix()
+		e.busy.Store(false)
+	}
+}
+
+// load returns the slot's exemplar, nil when it holds none.
+func (e *exemplarSlot) load() *Exemplar {
+	for !e.busy.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+	trace, d, unix := e.trace, e.d, e.unix
+	e.busy.Store(false)
+	if trace.IsZero() {
+		return nil
+	}
+	return &Exemplar{TraceID: trace.String(), Seconds: d.Seconds(), Unix: unix}
 }
 
 // NewHDRHistogram builds a histogram without exemplar slots (the
@@ -140,7 +171,7 @@ func NewHDRHistogram() *HDRHistogram {
 // exemplar per bucket (the server side).
 func NewHDRHistogramExemplars() *HDRHistogram {
 	h := NewHDRHistogram()
-	h.exemplars = make([]atomic.Pointer[Exemplar], HDRNumBuckets())
+	h.exemplars = make([]exemplarSlot, HDRNumBuckets())
 	return h
 }
 
@@ -155,12 +186,11 @@ func (h *HDRHistogram) Observe(d time.Duration) {
 // bucket's exemplar. Last-writer-wins per bucket: the freshest slow
 // request is exactly the one worth chasing.
 func (h *HDRHistogram) ObserveTrace(d time.Duration, trace TraceID) {
-	secs := d.Seconds()
-	i := HDRBucketIndex(secs)
+	i := HDRBucketIndex(d.Seconds())
 	h.counts[i].Add(1)
 	h.sumNs.Add(int64(d))
 	if h.exemplars != nil && !trace.IsZero() {
-		h.exemplars[i].Store(&Exemplar{TraceID: trace.String(), Seconds: secs, Unix: time.Now().Unix()})
+		h.exemplars[i].store(trace, d)
 	}
 }
 
@@ -196,18 +226,9 @@ func (h *HDRHistogram) Exemplars() []*Exemplar {
 	}
 	out := make([]*Exemplar, len(h.exemplars))
 	for i := range h.exemplars {
-		out[i] = h.exemplars[i].Load()
+		out[i] = h.exemplars[i].load()
 	}
 	return out
-}
-
-// TotalCount returns the number of observations recorded so far.
-func (h *HDRHistogram) TotalCount() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in seconds by linear

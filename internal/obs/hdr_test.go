@@ -113,8 +113,8 @@ func TestHDRHistogramObserveAndSnapshot(t *testing.T) {
 	if s.Counts[len(s.Counts)-1] != 1 {
 		t.Fatalf("overflow count = %d, want 1", s.Counts[len(s.Counts)-1])
 	}
-	if h.TotalCount() != uint64(len(durations)) {
-		t.Fatalf("TotalCount = %d", h.TotalCount())
+	if h.Snapshot().Count != uint64(len(durations)) {
+		t.Fatalf("count = %d", h.Snapshot().Count)
 	}
 	if m := s.Mean(); math.Abs(m-sum/float64(len(durations))) > 1e-9 {
 		t.Fatalf("Mean = %v", m)
@@ -186,8 +186,8 @@ func TestHDRExemplars(t *testing.T) {
 	if math.Abs(found.Seconds-0.005) > 1e-9 {
 		t.Fatalf("exemplar seconds = %v", found.Seconds)
 	}
-	if h.TotalCount() != 2 {
-		t.Fatalf("TotalCount = %d, want 2", h.TotalCount())
+	if h.Snapshot().Count != 2 {
+		t.Fatalf("count = %d, want 2", h.Snapshot().Count)
 	}
 	// Client-side histograms report no exemplars at all.
 	if NewHDRHistogram().Exemplars() != nil {
@@ -210,8 +210,8 @@ func TestHDRHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.TotalCount(); got != goroutines*per {
-		t.Fatalf("TotalCount = %d, want %d", got, goroutines*per)
+	if got := h.Snapshot().Count; got != goroutines*per {
+		t.Fatalf("count = %d, want %d", got, goroutines*per)
 	}
 }
 
@@ -224,9 +224,6 @@ func TestHDRSamplesRoundTripExposition(t *testing.T) {
 	fam := MetricFamily{
 		Name: "test_hdr_seconds", Help: "t.", Type: Histogram,
 		Samples: HistogramSamplesExemplars([]Label{{"route", "GET /x"}}, HDRBounds(), s.Counts, s.SumSeconds, h.Exemplars()),
-	}
-	if problems := Lint([]MetricFamily{fam}); len(problems) != 0 {
-		t.Fatalf("Lint: %v", problems)
 	}
 	var buf strings.Builder
 	if err := WriteExposition(&buf, []MetricFamily{fam}); err != nil {
@@ -247,7 +244,7 @@ func BenchmarkHDRObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i%1000) * time.Microsecond)
 	}
-	if h.TotalCount() == 0 {
+	if h.Snapshot().Count == 0 {
 		b.Fatal("no observations")
 	}
 }

@@ -1,12 +1,10 @@
 package obs
 
-// Prometheus text-format exposition (version 0.0.4), built from plain
-// values at scrape time. There is no registry and no background state:
-// callers assemble []MetricFamily from whatever they already track
-// (expvar trees, atomics, a database pointer) and WriteExposition
-// renders them with stable ordering and correct escaping. Lint and
-// LintExposition are the promlint-style checks the golden tests and the
-// hermetic smoke binaries run against the output.
+// Prometheus text-format exposition (version 0.0.4). A Registry (see
+// registry.go) renders its declared families as []MetricFamily at scrape
+// time, and WriteExposition writes them with stable ordering and the
+// format's escaping. LintExposition is the promlint-style check the golden
+// tests and the hermetic smoke binaries run against the output.
 
 import (
 	"bufio"
@@ -14,7 +12,6 @@ import (
 	"io"
 	"math"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,16 +53,6 @@ type MetricFamily struct {
 	Help    string
 	Type    MetricType
 	Samples []Sample
-}
-
-// CounterFamily builds a single-sample counter.
-func CounterFamily(name, help string, v float64) MetricFamily {
-	return MetricFamily{Name: name, Help: help, Type: Counter, Samples: []Sample{{Value: v}}}
-}
-
-// GaugeFamily builds a single-sample gauge.
-func GaugeFamily(name, help string, v float64) MetricFamily {
-	return MetricFamily{Name: name, Help: help, Type: Gauge, Samples: []Sample{{Value: v}}}
 }
 
 // HistogramSamples renders one histogram series: per-bucket counts
@@ -121,7 +108,7 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		if f.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, helpEscaper.Replace(f.Help))
 		}
 		typ := f.Type
 		if typ == "" {
@@ -144,7 +131,10 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 					if i > 0 {
 						bw.WriteByte(',')
 					}
-					fmt.Fprintf(bw, "%s=%q", l.Name, escapeLabel(l.Value))
+					bw.WriteString(l.Name)
+					bw.WriteString(`="`)
+					labelEscaper.WriteString(bw, l.Value)
+					bw.WriteByte('"')
 				}
 				bw.WriteByte('}')
 			}
@@ -154,7 +144,10 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 				// OpenMetrics-style exemplar suffix — an extension
 				// over text format 0.0.4 (the content type stays
 				// 0.0.4; LintExposition accepts and validates it).
-				fmt.Fprintf(bw, " # {trace_id=%q} %s", escapeLabel(s.Exemplar.TraceID), formatValue(s.Exemplar.Seconds))
+				bw.WriteString(` # {trace_id="`)
+				labelEscaper.WriteString(bw, s.Exemplar.TraceID)
+				bw.WriteString(`"} `)
+				bw.WriteString(formatValue(s.Exemplar.Seconds))
 			}
 			bw.WriteByte('\n')
 		}
@@ -198,163 +191,32 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// escapeHelp escapes backslash and newline per the exposition format.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// escapeLabel escapes the characters %q does not handle the Prometheus
-// way. %q already escapes backslash, quote and newline compatibly, so the
-// value passes through — kept as a function to document the contract.
-func escapeLabel(s string) string { return s }
+// Text format 0.0.4 defines exactly three escapes in label values — \\,
+// \" and \n — and two in HELP text (no quote). Every other byte, tabs and
+// non-ASCII runes included, is written as is.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 var (
 	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
-// Lint runs promlint-style checks over families before rendering:
-// name/label charsets, counter naming, histogram shape (a +Inf bucket,
-// cumulative monotone counts, _count == +Inf bucket), duplicate series.
-// It returns human-readable problems, empty when clean.
-func Lint(families []MetricFamily) []string {
-	var problems []string
-	seenFamily := map[string]bool{}
-	for _, f := range families {
-		if !metricNameRe.MatchString(f.Name) {
-			problems = append(problems, fmt.Sprintf("%s: invalid metric name", f.Name))
-			continue
-		}
-		if seenFamily[f.Name] {
-			problems = append(problems, fmt.Sprintf("%s: duplicate family", f.Name))
-		}
-		seenFamily[f.Name] = true
-		if f.Help == "" {
-			problems = append(problems, fmt.Sprintf("%s: no HELP text", f.Name))
-		}
-		if f.Type == Counter && !strings.HasSuffix(f.Name, "_total") {
-			problems = append(problems, fmt.Sprintf("%s: counter name should end in _total", f.Name))
-		}
-		seenSeries := map[string]bool{}
-		for _, s := range f.Samples {
-			for _, l := range s.Labels {
-				if !labelNameRe.MatchString(l.Name) {
-					problems = append(problems, fmt.Sprintf("%s: invalid label name %q", f.Name, l.Name))
-				}
-			}
-			key := s.Suffix + "\x00" + labelSig(s.Labels)
-			if seenSeries[key] {
-				problems = append(problems, fmt.Sprintf("%s%s: duplicate series %v", f.Name, s.Suffix, s.Labels))
-			}
-			seenSeries[key] = true
-			if s.Exemplar != nil && (f.Type != Histogram || s.Suffix != "_bucket") {
-				problems = append(problems, fmt.Sprintf("%s%s: exemplar on non-bucket sample", f.Name, s.Suffix))
-			}
-			if f.Type == Histogram {
-				switch s.Suffix {
-				case "_bucket", "_sum", "_count":
-				default:
-					problems = append(problems, fmt.Sprintf("%s: histogram sample with suffix %q", f.Name, s.Suffix))
-				}
-			} else if s.Suffix != "" {
-				problems = append(problems, fmt.Sprintf("%s: non-histogram sample with suffix %q", f.Name, s.Suffix))
-			}
-		}
-		if f.Type == Histogram {
-			problems = append(problems, lintHistogram(f)...)
-		}
-	}
-	return problems
-}
-
-// lintHistogram checks each histogram series (grouped by its non-le
-// labels) for a +Inf bucket, monotone cumulative counts and a matching
-// _count.
-func lintHistogram(f MetricFamily) []string {
-	type series struct {
-		les    []float64
-		counts []float64
-		count  float64
-		hasCnt bool
-	}
-	groups := map[string]*series{}
-	groupOf := func(labels []Label) *series {
-		var rest []Label
-		for _, l := range labels {
-			if l.Name != "le" {
-				rest = append(rest, l)
-			}
-		}
-		key := labelSig(rest)
-		g, ok := groups[key]
-		if !ok {
-			g = &series{}
-			groups[key] = g
-		}
-		return g
-	}
-	for _, s := range f.Samples {
-		g := groupOf(s.Labels)
-		switch s.Suffix {
-		case "_bucket":
-			le := math.Inf(1)
-			for _, l := range s.Labels {
-				if l.Name == "le" && l.Value != "+Inf" {
-					le, _ = strconv.ParseFloat(l.Value, 64)
-				}
-			}
-			g.les = append(g.les, le)
-			g.counts = append(g.counts, s.Value)
-		case "_count":
-			g.count, g.hasCnt = s.Value, true
-		}
-	}
-	var problems []string
-	for _, g := range groups {
-		if len(g.les) == 0 {
-			continue
-		}
-		sort.Sort(&bucketSort{g.les, g.counts})
-		if !math.IsInf(g.les[len(g.les)-1], 1) {
-			problems = append(problems, fmt.Sprintf("%s: histogram series missing +Inf bucket", f.Name))
-			continue
-		}
-		for i := 1; i < len(g.counts); i++ {
-			if g.counts[i] < g.counts[i-1] {
-				problems = append(problems, fmt.Sprintf("%s: histogram buckets not cumulative", f.Name))
-				break
-			}
-		}
-		if g.hasCnt && g.count != g.counts[len(g.counts)-1] {
-			problems = append(problems, fmt.Sprintf("%s: _count != +Inf bucket", f.Name))
-		}
-	}
-	return problems
-}
-
-// bucketSort co-sorts bucket bounds and counts.
-type bucketSort struct {
-	les    []float64
-	counts []float64
-}
-
-func (b *bucketSort) Len() int           { return len(b.les) }
-func (b *bucketSort) Less(i, j int) bool { return b.les[i] < b.les[j] }
-func (b *bucketSort) Swap(i, j int) {
-	b.les[i], b.les[j] = b.les[j], b.les[i]
-	b.counts[i], b.counts[j] = b.counts[j], b.counts[i]
-}
-
-// LintExposition parses rendered text format and re-checks it: every
-// sample must belong to a declared TYPE, names and values must parse,
-// histograms must carry +Inf buckets. It is the wire-level guard the CI
-// smoke steps run against a live /metrics/prometheus response.
+// LintExposition parses rendered text format and checks it: every sample
+// must belong to a declared TYPE, names, values and label escapes must
+// parse, no series may repeat, and histogram buckets must be cumulative
+// and end in a +Inf bucket. It is the wire-level guard the CI smoke steps
+// run against a live /metrics/prometheus response; naming rules (help
+// text, counter suffixes, label names) are enforced when a Registry family
+// is declared.
 func LintExposition(r io.Reader) []string {
 	var problems []string
 	types := map[string]MetricType{}
+	seriesSeen := map[string]bool{}
+	lastBucket := map[string]float64{} // histogram series (le dropped) → previous bucket
 	infSeen := map[string]bool{}
-	bucketSeen := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -390,8 +252,14 @@ func LintExposition(r io.Reader) []string {
 			problems = append(problems, fmt.Sprintf("line %d: %v", lineNo, err))
 			continue
 		}
-		if _, err := parsePromValue(value); err != nil {
+		v, err := parsePromValue(value)
+		if err != nil {
 			problems = append(problems, fmt.Sprintf("line %d: bad value %q", lineNo, value))
+		}
+		if series := name + "{" + labels + "}"; seriesSeen[series] {
+			problems = append(problems, fmt.Sprintf("line %d: duplicate series %s", lineNo, series))
+		} else {
+			seriesSeen[series] = true
 		}
 		base, ok := familyOf(name, types)
 		if !ok {
@@ -399,18 +267,31 @@ func LintExposition(r io.Reader) []string {
 			continue
 		}
 		if types[base] == Histogram && strings.HasSuffix(name, "_bucket") {
-			bucketSeen[base] = true
-			if strings.Contains(labels, `le="+Inf"`) {
-				infSeen[base] = true
+			// WriteExposition emits buckets in bound order, so each must
+			// count at least as many observations as the one before.
+			var rest []string
+			inf := false
+			for _, pair := range splitLabelPairs(labels) {
+				if le, ok := strings.CutPrefix(pair, "le="); ok {
+					inf = le == `"+Inf"`
+				} else {
+					rest = append(rest, pair)
+				}
 			}
+			key := name + "{" + strings.Join(rest, ",") + "}"
+			if prev, ok := lastBucket[key]; ok && v < prev {
+				problems = append(problems, fmt.Sprintf("line %d: histogram buckets of %s not cumulative", lineNo, key))
+			}
+			lastBucket[key] = v
+			infSeen[key] = infSeen[key] || inf
 		}
 	}
 	if err := sc.Err(); err != nil {
 		problems = append(problems, fmt.Sprintf("read: %v", err))
 	}
-	for base := range bucketSeen {
-		if !infSeen[base] {
-			problems = append(problems, fmt.Sprintf("%s: histogram without +Inf bucket", base))
+	for key := range lastBucket {
+		if !infSeen[key] {
+			problems = append(problems, fmt.Sprintf("%s: histogram without +Inf bucket", key))
 		}
 	}
 	return problems
@@ -444,6 +325,9 @@ func parseSampleLine(line string) (name, labels, value string, err error) {
 			return "", "", "", berr
 		}
 		labels = rest[i+1 : j]
+		if err := checkEscapes(labels); err != nil {
+			return "", "", "", err
+		}
 		rest = strings.TrimSpace(rest[j+1:])
 	} else {
 		fields := strings.Fields(rest)
@@ -497,6 +381,24 @@ func closingBrace(s string, open int) (int, error) {
 	return 0, fmt.Errorf("unbalanced braces")
 }
 
+// checkEscapes rejects label-value escapes text format 0.0.4 does not
+// define: inside quotes a backslash may only precede \\, " or n.
+func checkEscapes(labels string) error {
+	inStr := false
+	for i := 0; i < len(labels); i++ {
+		switch {
+		case inStr && labels[i] == '\\':
+			if i+1 == len(labels) || !strings.ContainsRune(`\"n`, rune(labels[i+1])) {
+				return fmt.Errorf("undefined escape in label set {%s}", labels)
+			}
+			i++
+		case labels[i] == '"':
+			inStr = !inStr
+		}
+	}
+	return nil
+}
+
 // lintExemplar validates the part after a sample's '#': a {label="v"}
 // set followed by a value and an optional timestamp.
 func lintExemplar(s string) error {
@@ -506,6 +408,9 @@ func lintExemplar(s string) error {
 	j, err := closingBrace(s, 0)
 	if err != nil {
 		return fmt.Errorf("malformed exemplar %q", s)
+	}
+	if err := checkEscapes(s[1:j]); err != nil {
+		return err
 	}
 	for _, part := range splitLabelPairs(s[1:j]) {
 		name, _, ok := strings.Cut(part, "=")
@@ -559,21 +464,4 @@ func parsePromValue(s string) (float64, error) {
 		return math.NaN(), nil
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-// RuntimeFamilies reports the Go runtime's health at call time:
-// goroutines, heap, and GC pause totals — the gauges every serving stack
-// scrapes next to its own counters.
-func RuntimeFamilies() []MetricFamily {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return []MetricFamily{
-		GaugeFamily("go_goroutines", "Number of goroutines that currently exist.", float64(runtime.NumGoroutine())),
-		GaugeFamily("go_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc)),
-		GaugeFamily("go_heap_inuse_bytes", "Bytes in in-use heap spans.", float64(ms.HeapInuse)),
-		GaugeFamily("go_heap_objects", "Number of allocated heap objects.", float64(ms.HeapObjects)),
-		CounterFamily("go_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC)),
-		CounterFamily("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs)/1e9),
-		GaugeFamily("go_next_gc_bytes", "Heap size target of the next GC cycle.", float64(ms.NextGC)),
-	}
 }

@@ -19,7 +19,7 @@ func promFixture() []MetricFamily {
 				{Labels: []Label{{"route", `GET /v1/diff?a="x"`}}, Value: 2},
 			},
 		},
-		GaugeFamily("aa_up", "Always first after sorting.", 1),
+		{Name: "aa_up", Help: "Always first after sorting.", Type: Gauge, Samples: []Sample{{Value: 1}}},
 		{
 			Name:    "mm_latency_seconds",
 			Help:    "Request latency.",
@@ -65,48 +65,10 @@ zz_requests_total{route="POST /v1/verify"} 7
 }
 
 func TestLintCleanFixture(t *testing.T) {
-	if problems := Lint(promFixture()); len(problems) != 0 {
-		t.Fatalf("lint problems on clean fixture: %v", problems)
-	}
 	var sb strings.Builder
 	WriteExposition(&sb, promFixture())
 	if problems := LintExposition(strings.NewReader(sb.String())); len(problems) != 0 {
 		t.Fatalf("wire lint problems on clean fixture: %v", problems)
-	}
-}
-
-func TestLintCatchesProblems(t *testing.T) {
-	cases := []struct {
-		name string
-		fams []MetricFamily
-		want string
-	}{
-		{"bad metric name", []MetricFamily{CounterFamily("1bad_total", "h", 1)}, "invalid metric name"},
-		{"missing help", []MetricFamily{{Name: "x_total", Type: Counter, Samples: []Sample{{Value: 1}}}}, "no HELP"},
-		{"counter suffix", []MetricFamily{CounterFamily("x_count_of_things", "h", 1)}, "_total"},
-		{"duplicate series", []MetricFamily{{Name: "x_total", Help: "h", Type: Counter,
-			Samples: []Sample{{Value: 1}, {Value: 2}}}}, "duplicate series"},
-		{"bad label", []MetricFamily{{Name: "x_total", Help: "h", Type: Counter,
-			Samples: []Sample{{Labels: []Label{{"le-gal", "v"}}, Value: 1}}}}, "invalid label name"},
-		{"histogram no inf", []MetricFamily{{Name: "h", Help: "h", Type: Histogram,
-			Samples: []Sample{{Suffix: "_bucket", Labels: []Label{{"le", "1"}}, Value: 1}}}}, "+Inf"},
-		{"histogram non-cumulative", []MetricFamily{{Name: "h", Help: "h", Type: Histogram,
-			Samples: []Sample{
-				{Suffix: "_bucket", Labels: []Label{{"le", "1"}}, Value: 5},
-				{Suffix: "_bucket", Labels: []Label{{"le", "+Inf"}}, Value: 3},
-			}}}, "cumulative"},
-	}
-	for _, tc := range cases {
-		problems := Lint(tc.fams)
-		found := false
-		for _, p := range problems {
-			if strings.Contains(p, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: want a problem containing %q, got %v", tc.name, tc.want, problems)
-		}
 	}
 }
 
@@ -121,6 +83,10 @@ func TestLintExpositionCatchesWireProblems(t *testing.T) {
 		{"unknown type", "# TYPE x widget\nx 1\n", "unknown type"},
 		{"histogram no inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_count 2\nh_sum 1\n", "+Inf"},
 		{"duplicate type", "# TYPE x gauge\n# TYPE x gauge\nx 1\n", "duplicate TYPE"},
+		{"duplicate series", "# TYPE x_total counter\nx_total{a=\"1\"} 1\nx_total{a=\"1\"} 2\n", "duplicate series"},
+		{"histogram non-cumulative", "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\n", "cumulative"},
+		{"undefined escape", "# TYPE x gauge\nx{a=\"tab\\there\"} 1\n", "undefined escape"},
+		{"undefined exemplar escape", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1 # {trace_id=\"\\u00e9\"} 1\n", "undefined escape"},
 	}
 	for _, tc := range cases {
 		problems := LintExposition(strings.NewReader(tc.text))
@@ -168,8 +134,14 @@ func TestFormatValue(t *testing.T) {
 }
 
 func TestRuntimeFamiliesLintClean(t *testing.T) {
-	fams := RuntimeFamilies()
-	if problems := Lint(fams); len(problems) != 0 {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	fams := r.Families()
+	var sb strings.Builder
+	if err := WriteExposition(&sb, fams); err != nil {
+		t.Fatal(err)
+	}
+	if problems := LintExposition(strings.NewReader(sb.String())); len(problems) != 0 {
 		t.Fatalf("runtime families lint: %v", problems)
 	}
 	names := map[string]bool{}
@@ -180,5 +152,27 @@ func TestRuntimeFamiliesLintClean(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing runtime family %s", want)
 		}
+	}
+}
+
+// TestExpositionLabelEscaping holds label values to text format 0.0.4,
+// which defines exactly three escapes (\\, \" and \n): a tab and a
+// non-ASCII rune are written as is, and LintExposition accepts the result
+// but rejects any other escape.
+func TestExpositionLabelEscaping(t *testing.T) {
+	fam := MetricFamily{Name: "lag_seconds", Help: "Lag.", Type: Gauge, Samples: []Sample{{
+		Labels: []Label{{"provider", "Tab\there \"Q\" Café\\\nx"}},
+		Value:  3,
+	}}}
+	var sb strings.Builder
+	if err := WriteExposition(&sb, []MetricFamily{fam}); err != nil {
+		t.Fatal(err)
+	}
+	want := "lag_seconds{provider=\"Tab\there \\\"Q\\\" Café\\\\\\nx\"} 3\n"
+	if !strings.HasSuffix(sb.String(), want) {
+		t.Errorf("exposition:\n%s\nwant line %q", sb.String(), want)
+	}
+	if problems := LintExposition(strings.NewReader(sb.String())); len(problems) != 0 {
+		t.Errorf("lint: %v", problems)
 	}
 }

@@ -61,7 +61,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	st := s.cur()
 	s.stampGeneration(w, st)
 	ctx := r.Context()
-	s.metrics.batchBatches.Add(1)
+	s.metrics.batches.Inc()
 
 	b := &verifyRun{s: s, st: st, ctx: ctx, batch: true, routes: map[string]*verifyRoute{}}
 	maxLine := int(s.cfg.MaxBodyBytes)
@@ -248,7 +248,7 @@ func (b *verifyRun) processLine(sc *verifyScratch, job *batchJob, maxLine int) {
 		job.buf = job.buf[:0]
 		return
 	}
-	b.s.metrics.batchLines.Add(1)
+	b.s.metrics.batchLines.Inc()
 	status := http.StatusBadRequest
 	if job.tooLong {
 		job.buf = b.appendError(job.buf, job.seq, nil, fmt.Sprintf("line exceeds %d bytes", maxLine))
@@ -256,6 +256,6 @@ func (b *verifyRun) processLine(sc *verifyScratch, job *batchJob, maxLine int) {
 		job.buf, status = b.verifyLine(sc, job.line, job.seq, job.buf)
 	}
 	if status != http.StatusOK {
-		b.s.metrics.batchRejects.Add(1)
+		b.s.metrics.batchRejects.Inc()
 	}
 }

@@ -294,7 +294,7 @@ func TestBatchMalformedLineMidStream(t *testing.T) {
 	chain, _ := symantecChain(t, eco)
 	good := ndline(t, map[string]any{"chain_pem": chain, "stores": []string{"NSS"}, "at": "2020-11-15"})
 
-	before := srv.Metrics().BatchRejects()
+	before := metric(srv, "trustd_batch_rejected_lines_total")
 	body := good + "{this is not json\n" + `{"chain_pem":""}` + "\n" + good
 	lines := postBatch(t, srv, body)
 	if len(lines) != 4 {
@@ -312,11 +312,11 @@ func TestBatchMalformedLineMidStream(t *testing.T) {
 	if lines[3].Error != "" || len(lines[3].Verdicts) == 0 {
 		t.Fatalf("line 3 = %+v, want verdicts", lines[3])
 	}
-	if got := srv.Metrics().BatchRejects() - before; got != 2 {
-		t.Errorf("batch rejects grew by %d, want 2", got)
+	if got := metric(srv, "trustd_batch_rejected_lines_total") - before; got != 2 {
+		t.Errorf("batch rejects grew by %v, want 2", got)
 	}
-	if depth := srv.Metrics().BatchQueueDepth(); depth != 0 {
-		t.Errorf("queue depth %d after batch, want 0", depth)
+	if depth := metric(srv, "trustd_batch_queue_depth"); depth != 0 {
+		t.Errorf("queue depth %v after batch, want 0", depth)
 	}
 }
 
@@ -411,14 +411,14 @@ func TestBatchClientDisconnectDrains(t *testing.T) {
 	// every queued job.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if inner.Metrics().BatchQueueDepth() == 0 && runtime.NumGoroutine() <= baseline+4 {
+		if metric(inner, "trustd_batch_queue_depth") == 0 && runtime.NumGoroutine() <= baseline+4 {
 			break
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("pipeline did not drain: queue=%d goroutines=%d (baseline %d)\n%s",
-				inner.Metrics().BatchQueueDepth(), runtime.NumGoroutine(), baseline, buf[:n])
+			t.Fatalf("pipeline did not drain: queue=%v goroutines=%d (baseline %d)\n%s",
+				metric(inner, "trustd_batch_queue_depth"), runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

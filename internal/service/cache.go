@@ -52,16 +52,16 @@ func (c *verifierCache) get(snap *store.Snapshot) *verify.Verifier {
 	v, ok := sh.m[key]
 	sh.mu.RUnlock()
 	if ok {
-		c.metrics.cacheEvent("verifier", true)
+		c.metrics.verifierHit.Inc()
 		return v
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if v, ok := sh.m[key]; ok {
-		c.metrics.cacheEvent("verifier", true)
+		c.metrics.verifierHit.Inc()
 		return v
 	}
-	c.metrics.cacheEvent("verifier", false)
+	c.metrics.verifierMiss.Inc()
 	v = verify.New(snap)
 	sh.m[key] = v
 	return v

@@ -60,15 +60,14 @@ func TestProvidersKindTags(t *testing.T) {
 
 func TestProviderKindsMetrics(t *testing.T) {
 	_, srv := ecosystemServer(t)
-	m := srv.Metrics()
-	if got := m.ProviderKindCount("ct"); got != len(synth.CTLogs()) {
-		t.Errorf("ct kind count = %d, want %d", got, len(synth.CTLogs()))
+	if got := metric(srv, "trustd_provider_kinds", "ct"); got != float64(len(synth.CTLogs())) {
+		t.Errorf("ct kind count = %v, want %d", got, len(synth.CTLogs()))
 	}
-	if got := m.ProviderKindCount("manifest"); got != 1 {
-		t.Errorf("manifest kind count = %d, want 1", got)
+	if got := metric(srv, "trustd_provider_kinds", "manifest"); got != 1 {
+		t.Errorf("manifest kind count = %v, want 1", got)
 	}
-	if got := m.ProviderKindCount("tls"); got != 10 {
-		t.Errorf("tls kind count = %d, want 10", got)
+	if got := metric(srv, "trustd_provider_kinds", "tls"); got != 10 {
+		t.Errorf("tls kind count = %v, want 10", got)
 	}
 
 	// The JSON view carries the same map.
@@ -76,7 +75,7 @@ func TestProviderKindsMetrics(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	var tree struct {
-		ProviderKinds map[string]int `json:"provider_kinds"`
+		ProviderKinds map[string]int `json:"trustd_provider_kinds"`
 	}
 	if err := json.NewDecoder(rec.Result().Body).Decode(&tree); err != nil {
 		t.Fatalf("decode /metrics: %v", err)

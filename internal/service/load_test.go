@@ -96,10 +96,10 @@ func TestVerifyConcurrentLoad(t *testing.T) {
 	// The stampede must have shared work: with 384 requests over ≤ 12
 	// distinct (chain, store, purpose, time) keys, nearly everything after
 	// the first round is a verdict-cache hit.
-	if inner.Metrics().CacheHits("verdict") == 0 {
+	if metric(inner, "trustd_cache_events_total", "verdict", "hit") == 0 {
 		t.Error("no verdict cache hits under concurrent load")
 	}
-	if inner.Metrics().CacheHits("verifier") == 0 {
+	if metric(inner, "trustd_cache_events_total", "verifier", "hit") == 0 {
 		t.Error("no verifier cache hits under concurrent load")
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -11,63 +10,30 @@ import (
 	"repro/internal/store"
 )
 
-// statusClasses maps code/100 to its class key without formatting.
+// statusClasses maps code/100 to its class label without formatting.
 var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// Metrics aggregates the server's expvar counters. Each Server owns a
-// private expvar.Map rather than publishing process globals, so multiple
-// servers (tests, embedded use) never collide on expvar names; cmd/trustd
-// publishes the map under "trustd" for the standard /debug/vars view.
-//
-// Gauges that describe "now" — uptime, per-provider staleness — are
-// expvar.Funcs computed at read time from the current serving database,
-// so /debug/vars (which bypasses this type's handler entirely) and
-// long-lived servers that never reload still report the truth.
+// Metrics holds the server's handles into its metric registry. Each
+// family is declared once in newMetrics; /metrics (JSON),
+// /metrics/prometheus and /debug/vars (cmd/trustd publishes the registry)
+// all render from those declarations. Each Server owns a private
+// registry, so several servers in one process never collide.
 type Metrics struct {
-	root *expvar.Map
+	reg *obs.Registry
 
-	requests *expvar.Map // per route: "GET /v1/providers" → count
-	status   *expvar.Map // per status class: "2xx" → count
-	outcomes *expvar.Map // per verify outcome: "ok", "no-anchor", ...
-	cache    *expvar.Map // verifier/verdict cache hit/miss counters
-	inFlight *expvar.Int
-	verified *expvar.Int // total per-store verdicts computed (incl. cached)
-	rejected *expvar.Int // requests refused before verification (4xx)
+	requests *obs.CounterVec   // by route; resolved per route in Server.instrument
+	latency  *obs.HistogramVec // by route, shared HDR bounds with exemplars
+	status   [len(statusClasses)]*obs.CounterVar
+	outcomes *obs.CounterVec
 
-	// verdictHits/verdictMisses are the cache map's verdict entries,
-	// resolved once so the verify core counts with one atomic add.
-	verdictHits, verdictMisses *expvar.Int
+	verdictHit, verdictMiss, verifierHit, verifierMiss *obs.CounterVar
 
-	// Batch pipeline counters (POST /v1/verify/batch).
-	batchBatches  *expvar.Int // batch requests started
-	batchLines    *expvar.Int // NDJSON input lines consumed
-	batchVerdicts *expvar.Int // verdict rows streamed out
-	batchRejects  *expvar.Int // lines answered with a per-line error
-	batchQueue    *expvar.Int // jobs currently queued between reader and writer (gauge)
-
-	// What-if simulation counters (POST /v1/simulate, GET /v1/simulate/sweep).
-	simEvents       *expvar.Map   // per event kind: "removal", "distrust-after", "ca-removal", "error"
-	simSweeps       *expvar.Int   // sweep responses served (cached or fresh)
-	simSweepBuilds  *expvar.Int   // sweep rankings actually computed (≤ one per generation)
-	simSweepPairs   *expvar.Int   // (root, store) pairs in the latest ranking (gauge)
-	simSweepBuildMs *expvar.Float // wall time of the latest ranking build (gauge)
-
-	errors    *expvar.Int // responses that failed server-side (5xx)
-	reloads   *expvar.Int // hot swaps installed after the initial database
-	watchers  *expvar.Int // live /v1/events/watch streams
-	lastLoad  *expvar.String
-	startedAt time.Time
-
-	// Latency is tracked in HDR log-linear histograms over the shared
-	// obs.HDRBounds layout — the same bounds cmd/loadgen buckets against
-	// on the client side, so the two can be diffed per bucket. routes
-	// holds one exemplar-capturing histogram per registered route; all
-	// registration happens while the Server is built, before any
-	// request, so requests read the map without locking. latencyAll is
-	// the cross-route aggregate (and the fallback for unregistered
-	// routes).
-	routes     map[string]*obs.HDRHistogram
-	latencyAll *obs.HDRHistogram
+	inFlight, batchQueue, watchers           *obs.GaugeVar
+	verified, rejected, errors, reloads      *obs.CounterVar
+	batches, batchLines, batchVerdicts       *obs.CounterVar
+	batchRejects, simSweeps, simSweepBuilds  *obs.CounterVar
+	simEvents                                *obs.CounterVec
+	simSweepPairs, simSweepBuild, lastReload *obs.GaugeVar
 
 	// slo feeds the scrape-time trustd_slo_* burn-rate families.
 	slo *sloRing
@@ -78,271 +44,104 @@ type Metrics struct {
 	db atomic.Pointer[store.Database]
 }
 
-func newMetrics() *Metrics {
-	m := &Metrics{
-		root:     new(expvar.Map).Init(),
-		requests: new(expvar.Map).Init(),
-		status:   new(expvar.Map).Init(),
-		outcomes: new(expvar.Map).Init(),
-		cache:    new(expvar.Map).Init(),
-		inFlight: new(expvar.Int),
-		verified: new(expvar.Int),
-		rejected: new(expvar.Int),
-
-		verdictHits:   new(expvar.Int),
-		verdictMisses: new(expvar.Int),
-
-		batchBatches:  new(expvar.Int),
-		batchLines:    new(expvar.Int),
-		batchVerdicts: new(expvar.Int),
-		batchRejects:  new(expvar.Int),
-		batchQueue:    new(expvar.Int),
-
-		simEvents:       new(expvar.Map).Init(),
-		simSweeps:       new(expvar.Int),
-		simSweepBuilds:  new(expvar.Int),
-		simSweepPairs:   new(expvar.Int),
-		simSweepBuildMs: new(expvar.Float),
-
-		errors:    new(expvar.Int),
-		reloads:   new(expvar.Int),
-		watchers:  new(expvar.Int),
-		lastLoad:  new(expvar.String),
-		startedAt: time.Now(),
-
-		routes:     map[string]*obs.HDRHistogram{},
-		latencyAll: obs.NewHDRHistogramExemplars(),
-		slo:        newSLORing(),
+func newMetrics(s *Server) *Metrics {
+	r := obs.NewRegistry()
+	m := &Metrics{reg: r, slo: newSLORing()}
+	const ns = "trustd_"
+	m.requests = r.CounterVec(ns+"requests_total", "HTTP requests by route.", "route")
+	m.latency = r.HistogramVec(ns+"request_duration_seconds", "HTTP request latency by route (shared HDR log-linear buckets).", "route")
+	status := r.CounterVec(ns+"responses_total", "HTTP responses by status class.", "class")
+	for i, class := range statusClasses {
+		m.status[i] = status.With(class)
 	}
-	m.root.Set("requests", m.requests)
-	m.root.Set("status", m.status)
-	m.root.Set("verify_outcomes", m.outcomes)
-	m.root.Set("cache", m.cache)
-	m.cache.Set("verdict_hits", m.verdictHits)
-	m.cache.Set("verdict_misses", m.verdictMisses)
-	m.root.Set("latency_ms", expvar.Func(m.latencySummary))
-	m.root.Set("provider_lag_seconds", expvar.Func(m.providerLag))
-	m.root.Set("provider_kinds", expvar.Func(m.providerKinds))
-	m.root.Set("in_flight", m.inFlight)
-	m.root.Set("batches_total", m.batchBatches)
-	m.root.Set("batch_lines_total", m.batchLines)
-	m.root.Set("batch_verdicts_total", m.batchVerdicts)
-	m.root.Set("batch_rejected_lines_total", m.batchRejects)
-	m.root.Set("batch_queue_depth", m.batchQueue)
-	m.root.Set("simulate_events", m.simEvents)
-	m.root.Set("simulate_sweeps_total", m.simSweeps)
-	m.root.Set("simulate_sweep_builds_total", m.simSweepBuilds)
-	m.root.Set("simulate_sweep_pairs", m.simSweepPairs)
-	m.root.Set("simulate_sweep_build_ms", m.simSweepBuildMs)
-	m.root.Set("verdicts_total", m.verified)
-	m.root.Set("rejected_total", m.rejected)
-	m.root.Set("errors_total", m.errors)
-	m.root.Set("reloads_total", m.reloads)
-	m.root.Set("event_watchers", m.watchers)
-	m.root.Set("last_reload", m.lastLoad)
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(m.startedAt).Seconds()
-	}))
+	m.outcomes = r.CounterVec(ns+"verify_outcomes_total", "Per-store verify verdicts by outcome.", "outcome")
+	cache := r.CounterVec(ns+"cache_events_total", "Cache lookups by cache and result.", "cache", "result")
+	m.verdictHit, m.verdictMiss = cache.With("verdict", "hit"), cache.With("verdict", "miss")
+	m.verifierHit, m.verifierMiss = cache.With("verifier", "hit"), cache.With("verifier", "miss")
+	m.inFlight = r.Gauge(ns+"in_flight_requests", "Requests currently being served.")
+	m.verified = r.Counter(ns+"verdicts_total", "Per-store verdicts computed, including cache hits.")
+	m.batches = r.Counter(ns+"batches_total", "Batch verify requests started.")
+	m.batchLines = r.Counter(ns+"batch_lines_total", "NDJSON lines consumed by /v1/verify/batch.")
+	m.batchVerdicts = r.Counter(ns+"batch_verdicts_total", "Verdict rows streamed by /v1/verify/batch.")
+	m.batchRejects = r.Counter(ns+"batch_rejected_lines_total", "Batch lines answered with a per-line error.")
+	m.batchQueue = r.Gauge(ns+"batch_queue_depth", "Batch jobs queued between reader and writer.")
+	m.simEvents = r.CounterVec(ns+"simulate_events_total", "What-if events evaluated by kind.", "kind")
+	m.simSweeps = r.Counter(ns+"simulate_sweeps_total", "Sweep rankings served (cached or fresh).")
+	m.simSweepBuilds = r.Counter(ns+"simulate_sweep_builds_total", "Sweep rankings computed (at most one per generation).")
+	m.simSweepPairs = r.Gauge(ns+"simulate_sweep_pairs", "Scenario pairs in the latest sweep ranking.")
+	m.simSweepBuild = r.Gauge(ns+"simulate_sweep_build_seconds", "Wall time of the latest sweep ranking build.")
+	m.rejected = r.Counter(ns+"rejected_total", "Requests refused before verification (4xx).")
+	m.errors = r.Counter(ns+"errors_total", "Responses that failed server-side (5xx).")
+	m.reloads = r.Counter(ns+"reloads_total", "Database hot swaps installed after startup.")
+	m.watchers = r.Gauge(ns+"event_watchers", "Live /v1/events/watch streams.")
+	m.lastReload = r.Gauge(ns+"last_reload_timestamp_seconds", "Unix time the serving database was installed.")
+
+	started := time.Now()
+	r.GaugeFunc(ns+"uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(started).Seconds() })
+	r.CounterFunc(ns+"traces_started_total", "Request traces started.", func() float64 { return float64(s.tracer.Started()) })
+	r.GaugeFunc(ns+"generation_epoch", "Cluster epoch of the serving generation.", func() float64 { return float64(s.cur().epoch) })
+	// Freshness is computed at scrape time against the serving database:
+	// a provider whose lag keeps climbing is a store that stopped
+	// publishing (the live form of the paper's update-lag measurement),
+	// even if the server never reloads again.
+	r.Func(ns+"provider_lag_seconds", "Seconds since each provider's newest snapshot date.", obs.Gauge, []string{"provider"},
+		func(emit func(float64, ...string)) {
+			now := time.Now()
+			m.eachLatest(func(name string, latest *store.Snapshot) {
+				emit(float64(now.Sub(latest.Date)/time.Second), name)
+			})
+		})
+	r.Func(ns+"provider_kinds", "Serving providers by ecosystem kind.", obs.Gauge, []string{"kind"},
+		func(emit func(float64, ...string)) {
+			kinds := map[string]int{}
+			m.eachLatest(func(_ string, latest *store.Snapshot) { kinds[string(latest.Kind.Normalize())]++ })
+			for kind, n := range kinds {
+				emit(float64(n), kind)
+			}
+		})
+	m.slo.register(r, ns)
+	obs.RegisterRuntime(r)
 	return m
 }
 
+// eachLatest calls f with every serving provider's newest snapshot.
+func (m *Metrics) eachLatest(f func(provider string, latest *store.Snapshot)) {
+	db := m.db.Load()
+	if db == nil {
+		return
+	}
+	for _, name := range db.Providers() {
+		if h := db.History(name); h != nil {
+			if latest := h.Latest(); latest != nil {
+				f(name, latest)
+			}
+		}
+	}
+}
+
 // recordReload points the freshness gauges at the database being
-// installed. The per-provider lag itself — seconds between a provider's
-// latest snapshot date and now — is computed on every read, so a
-// provider whose gauge keeps growing is a store we have stopped
-// receiving snapshots for (the live version of the paper's update-lag
-// observation) even if the server never reloads again.
+// installed.
 func (m *Metrics) recordReload(db *store.Database) {
 	m.db.Store(db)
-	m.lastLoad.Set(time.Now().UTC().Format(time.RFC3339))
+	m.lastReload.Set(float64(time.Now().UnixNano()) / 1e9)
 }
 
-// providerLag computes the per-provider staleness map at read time.
-func (m *Metrics) providerLag() any {
-	out := map[string]int64{}
-	db := m.db.Load()
-	if db == nil {
-		return out
+// record counts one finished request: route, status class, refusal/error
+// counters, the route's latency histogram (with the trace ID as a bucket
+// exemplar) and the SLO ring.
+func (m *Metrics) record(requests *obs.CounterVar, latency *obs.HDRHistogram, code int, d time.Duration, trace obs.TraceID) {
+	requests.Inc()
+	if c := code / 100; c < len(statusClasses) { // net/http allows 1xx-9xx; handlers write ≤ 5xx
+		m.status[c].Inc()
 	}
-	now := time.Now()
-	for _, name := range db.Providers() {
-		h := db.History(name)
-		if h == nil {
-			continue
-		}
-		if latest := h.Latest(); latest != nil {
-			out[name] = int64(now.Sub(latest.Date) / time.Second)
-		}
+	if code >= 400 && code < 500 {
+		m.rejected.Inc()
 	}
-	return out
-}
-
-// providerKinds counts serving providers by ecosystem kind ("tls", "ct",
-// "manifest") at read time, following the serving generation like
-// providerLag.
-func (m *Metrics) providerKinds() any {
-	out := map[string]int{}
-	db := m.db.Load()
-	if db == nil {
-		return out
+	if code >= 500 {
+		m.errors.Inc()
 	}
-	for _, name := range db.Providers() {
-		h := db.History(name)
-		if h == nil {
-			continue
-		}
-		if latest := h.Latest(); latest != nil {
-			out[string(latest.Kind.Normalize())]++
-		}
-	}
-	return out
-}
-
-// ProviderKindCount returns how many serving providers have the given
-// ecosystem kind (test hook).
-func (m *Metrics) ProviderKindCount(kind string) int {
-	if v, ok := m.providerKinds().(map[string]int)[kind]; ok {
-		return v
-	}
-	return 0
-}
-
-// ReloadCount returns the number of hot swaps installed (test hook).
-func (m *Metrics) ReloadCount() int64 { return m.reloads.Value() }
-
-// BatchLines returns the NDJSON input-line counter (test hook).
-func (m *Metrics) BatchLines() int64 { return m.batchLines.Value() }
-
-// BatchVerdicts returns the streamed-verdict counter (test hook).
-func (m *Metrics) BatchVerdicts() int64 { return m.batchVerdicts.Value() }
-
-// BatchRejects returns the per-line error counter (test hook).
-func (m *Metrics) BatchRejects() int64 { return m.batchRejects.Value() }
-
-// BatchQueueDepth returns the live reader→writer queue occupancy; 0 when
-// no batch is in flight (test hook — a leak here means jobs were dropped).
-func (m *Metrics) BatchQueueDepth() int64 { return m.batchQueue.Value() }
-
-// ErrorCount returns the 5xx response counter (test hook).
-func (m *Metrics) ErrorCount() int64 { return m.errors.Value() }
-
-// SimulateEvents returns the counter for one simulate event kind (test
-// hook).
-func (m *Metrics) SimulateEvents(kind string) int64 {
-	if v, ok := m.simEvents.Get(kind).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// SimulateSweeps returns the sweep-response counter (test hook).
-func (m *Metrics) SimulateSweeps() int64 { return m.simSweeps.Value() }
-
-// SimulateSweepBuilds returns how many sweep rankings were actually
-// computed — at most one per generation (test hook).
-func (m *Metrics) SimulateSweepBuilds() int64 { return m.simSweepBuilds.Value() }
-
-// ProviderLagSeconds returns a provider's freshness gauge (test hook);
-// -1 when the provider is not in the serving database.
-func (m *Metrics) ProviderLagSeconds(provider string) int64 {
-	if v, ok := m.providerLag().(map[string]int64)[provider]; ok {
-		return v
-	}
-	return -1
-}
-
-// Map exposes the metric tree, e.g. for expvar.Publish in cmd/trustd.
-func (m *Metrics) Map() *expvar.Map { return m.root }
-
-// registerRoute allocates the route's latency histogram. Called only
-// during Server construction (see Metrics.routes).
-func (m *Metrics) registerRoute(route string) {
-	m.routes[route] = obs.NewHDRHistogramExemplars()
-}
-
-// observeLatency records one request into the per-route and aggregate
-// HDR histograms (two atomic adds each) and, when the request was
-// traced, stamps the trace ID as the bucket's exemplar so the
-// exposition links straight to /debug/traces.
-func (m *Metrics) observeLatency(route string, d time.Duration, trace obs.TraceID) {
-	if h := m.routes[route]; h != nil {
-		h.ObserveTrace(d, trace)
-	}
-	m.latencyAll.ObserveTrace(d, trace)
-}
-
-// latencySummary renders the /metrics JSON view of the latency state:
-// per-route count, sum and headline quantiles computed at read time from
-// the HDR histograms (the raw buckets are served by
-// /metrics/prometheus, which machines should scrape instead).
-func (m *Metrics) latencySummary() any {
-	out := make(map[string]map[string]float64, len(m.routes)+1)
-	add := func(name string, h *obs.HDRHistogram) {
-		s := h.Snapshot()
-		out[name] = map[string]float64{
-			"count":   float64(s.Count),
-			"sum_ms":  s.SumSeconds * 1000,
-			"p50_ms":  s.Quantile(0.50) * 1000,
-			"p90_ms":  s.Quantile(0.90) * 1000,
-			"p99_ms":  s.Quantile(0.99) * 1000,
-			"p999_ms": s.Quantile(0.999) * 1000,
-		}
-	}
-	add("all", m.latencyAll)
-	for route, h := range m.routes {
-		add(route, h)
-	}
-	return out
-}
-
-// LatencySnapshot returns a route's HDR histogram snapshot, or the
-// aggregate when route is "" (test hook).
-func (m *Metrics) LatencySnapshot(route string) obs.HDRSnapshot {
-	if route == "" {
-		return m.latencyAll.Snapshot()
-	}
-	if h := m.routes[route]; h != nil {
-		return h.Snapshot()
-	}
-	return obs.HDRSnapshot{}
-}
-
-// SLOBurnRates returns the availability and latency burn rates over a
-// window (test hook; minutes as in the exposed window labels).
-func (m *Metrics) SLOBurnRates(minutes int64) (availability, latency float64, requests uint64) {
-	return m.slo.burnRates(minutes)
-}
-
-// outcomeCounter returns the counter for one verify outcome, creating it if
-// absent, so callers can cache it and count with a single atomic add.
-func (m *Metrics) outcomeCounter(outcome string) *expvar.Int {
-	m.outcomes.Add(outcome, 0)
-	ctr, _ := m.outcomes.Get(outcome).(*expvar.Int)
-	return ctr
-}
-
-func (m *Metrics) cacheEvent(name string, hit bool) {
-	if hit {
-		m.cache.Add(name+"_hits", 1)
-	} else {
-		m.cache.Add(name+"_misses", 1)
-	}
-}
-
-// CacheHits returns a cache counter's current value (test hook).
-func (m *Metrics) CacheHits(name string) int64 {
-	if v, ok := m.cache.Get(name + "_hits").(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// RequestCount returns a route counter's current value (test hook).
-func (m *Metrics) RequestCount(route string) int64 {
-	if v, ok := m.requests.Get(route).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
+	latency.ObserveTrace(d, trace)
+	m.slo.observe(code, d)
 }
 
 // statusRecorder captures the response status for metrics.
@@ -360,31 +159,17 @@ func (r *statusRecorder) WriteHeader(code int) {
 // Flusher — the SSE watch endpoint streams through this wrapper.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// record counts one finished request: route, status class, refusal/error
-// counters, the latency histograms (with the trace ID as a bucket
-// exemplar) and the SLO ring.
-func (m *Metrics) record(route string, code int, d time.Duration, trace obs.TraceID) {
-	m.requests.Add(route, 1)
-	if c := code / 100; c >= 0 && c < len(statusClasses) {
-		m.status.Add(statusClasses[c], 1)
-	} else {
-		m.status.Add(fmt.Sprintf("%dxx", c), 1)
-	}
-	if code >= 400 && code < 500 {
-		m.rejected.Add(1)
-	}
-	if code >= 500 {
-		m.errors.Add(1)
-	}
-	m.observeLatency(route, d, trace)
-	m.slo.observe(code, d)
+// handleMetrics serves the registry's JSON view.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintln(w, s.metrics.reg.String())
 }
 
-// handler serves the metric tree as JSON — the expvar wire format, scoped to
-// this server's map.
-func (m *Metrics) handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, m.root.String())
-	})
+// handlePrometheus serves the registry in the Prometheus text exposition
+// format (0.0.4).
+func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := obs.WriteExposition(w, s.metrics.reg.Families()); err != nil {
+		s.log.Warn("write prometheus exposition", "err", err)
+	}
 }

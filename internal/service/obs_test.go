@@ -206,41 +206,36 @@ func TestPrometheusEndpoint(t *testing.T) {
 }
 
 // TestPerRouteLatencyAndErrorCounters exercises satellite metrics: the
-// per-route HDR histogram fills alongside the aggregate, quantiles come
-// out of the /metrics JSON summary, and the SLO ring sees the traffic.
+// per-route HDR histogram fills, quantiles come out of the /metrics JSON
+// summary, and the SLO ring sees the traffic.
 func TestPerRouteLatencyAndErrorCounters(t *testing.T) {
 	_, srv := fixture(t)
 	get(t, srv, "/v1/providers", nil)
 
-	m := srv.Metrics()
-	snap := m.LatencySnapshot("GET /v1/providers")
-	if snap.Count == 0 {
+	if metric(srv, "trustd_request_duration_seconds", "GET /v1/providers") == 0 {
 		t.Error("per-route latency histogram empty after a request")
 	}
-	if agg := m.LatencySnapshot(""); agg.Count == 0 {
-		t.Error("aggregate latency histogram empty after a request")
-	}
-	if m.RequestCount("GET /v1/providers") == 0 {
+	if metric(srv, "trustd_requests_total", "GET /v1/providers") == 0 {
 		t.Error("route counter empty")
 	}
-	if _, _, req := m.SLOBurnRates(5); req == 0 {
+	if metric(srv, "trustd_slo_window_requests", "5m") == 0 {
 		t.Error("SLO 5m window saw no requests")
 	}
 
 	var raw map[string]any
 	get(t, srv, "/metrics", &raw)
-	lat, ok := raw["latency_ms"].(map[string]any)
+	lat, ok := raw["trustd_request_duration_seconds"].(map[string]any)
 	if !ok {
-		t.Fatalf("latency_ms missing in /metrics: %T", raw["latency_ms"])
+		t.Fatalf("trustd_request_duration_seconds missing in /metrics: %T", raw["trustd_request_duration_seconds"])
 	}
 	route, ok := lat["GET /v1/providers"].(map[string]any)
 	if !ok {
-		t.Fatalf("latency_ms has no per-route summary: %v", lat)
+		t.Fatalf("trustd_request_duration_seconds has no per-route summary: %v", lat)
 	}
 	if c, _ := route["count"].(float64); c == 0 {
 		t.Errorf("latency summary count = %v", route["count"])
 	}
-	for _, q := range []string{"p50_ms", "p99_ms", "p999_ms"} {
+	for _, q := range []string{"p50", "p99", "p999"} {
 		if _, ok := route[q].(float64); !ok {
 			t.Errorf("latency summary missing %s: %v", q, route)
 		}
@@ -251,20 +246,19 @@ func TestPerRouteLatencyAndErrorCounters(t *testing.T) {
 // move (or hold correct values) without any reload happening in between.
 func TestUptimeAndLagComputedAtRead(t *testing.T) {
 	_, srv := fixture(t)
-	m := srv.Metrics()
-	if lag := m.ProviderLagSeconds("NSS"); lag <= 0 {
-		t.Errorf("NSS lag = %d, want positive (snapshots are historical)", lag)
+	if lag := metric(srv, "trustd_provider_lag_seconds", "NSS"); lag <= 0 {
+		t.Errorf("NSS lag = %v, want positive (snapshots are historical)", lag)
 	}
-	if lag := m.ProviderLagSeconds("NoSuchProvider"); lag != -1 {
-		t.Errorf("unknown provider lag = %d, want -1", lag)
+	if lag, ok := srv.Metrics().Value("trustd_provider_lag_seconds", "NoSuchProvider"); ok {
+		t.Errorf("unknown provider lag = %v, want no series", lag)
 	}
 	var raw map[string]any
 	get(t, srv, "/metrics", &raw)
-	if _, ok := raw["uptime_seconds"].(float64); !ok {
-		t.Errorf("uptime_seconds missing or not numeric in /metrics: %v", raw["uptime_seconds"])
+	if _, ok := raw["trustd_uptime_seconds"].(float64); !ok {
+		t.Errorf("trustd_uptime_seconds missing or not numeric in /metrics: %v", raw["trustd_uptime_seconds"])
 	}
-	if _, ok := raw["provider_lag_seconds"].(map[string]any); !ok {
-		t.Errorf("provider_lag_seconds missing in /metrics")
+	if _, ok := raw["trustd_provider_lag_seconds"].(map[string]any); !ok {
+		t.Errorf("trustd_provider_lag_seconds missing in /metrics")
 	}
 }
 

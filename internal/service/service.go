@@ -3,7 +3,7 @@
 // answers in batch — which stores trust this root, and does this chain
 // verify, as seen by each client's root store (§6–§7 made queryable).
 //
-// The subsystem is stdlib-only (net/http, log/slog, expvar) like the rest
+// The subsystem is stdlib-only (net/http, log/slog) like the rest
 // of the module. Design notes:
 //
 //   - The database, its fingerprint → (provider, version) inverted index
@@ -183,10 +183,6 @@ type Server struct {
 	// hand out the same epoch twice.
 	epochCounter atomic.Uint64
 
-	// extraStats are additional metric-family providers (cluster origin or
-	// replica) merged into /metrics/prometheus at scrape time.
-	extraStats []StatsSource
-
 	// exempt lists mounted path prefixes that RequestTimeout must not
 	// apply to (long-polls, archive downloads); they get WatchTimeout.
 	exempt []string
@@ -198,13 +194,13 @@ type Server struct {
 func New(db *store.Database, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		metrics: newMetrics(),
-		tracer:  cfg.Tracer,
-		log:     cfg.Logger,
-		sem:     make(chan struct{}, cfg.VerifyWorkers),
-		mux:     http.NewServeMux(),
+		cfg:    cfg,
+		tracer: cfg.Tracer,
+		log:    cfg.Logger,
+		sem:    make(chan struct{}, cfg.VerifyWorkers),
+		mux:    http.NewServeMux(),
 	}
+	s.metrics = newMetrics(s)
 	s.scratch.New = newVerifyScratch
 	s.install(db, hashTag(cfg.DatabaseHash), s.epochCounter.Add(1))
 
@@ -219,7 +215,7 @@ func New(db *store.Database, cfg Config) *Server {
 	s.route("GET /v1/events", s.handleEvents)
 	s.route("GET /v1/events/watch", s.handleEventsWatch)
 	s.mux.Handle("GET /healthz", http.HandlerFunc(s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.metrics.handler())
+	s.mux.Handle("GET /metrics", http.HandlerFunc(s.handleMetrics))
 	s.mux.Handle("GET /metrics/prometheus", http.HandlerFunc(s.handlePrometheus))
 	s.mux.Handle("GET /debug/traces", s.tracer.TracesHandler())
 	s.handler = s.withTimeout(s.mux)
@@ -268,7 +264,7 @@ func (s *Server) Swap(db *store.Database) {
 // the database again.
 func (s *Server) SwapHashed(db *store.Database, dbHash [archive.HashLen]byte) {
 	s.install(db, hashTag(dbHash), s.epochCounter.Add(1))
-	s.metrics.reloads.Add(1)
+	s.metrics.reloads.Inc()
 }
 
 // hashTag renders a database hash as an entity tag; "" for the zero hash,
@@ -296,7 +292,7 @@ func (s *Server) SwapArchive(db *store.Database, contentHash [archive.HashLen]by
 		}
 	}
 	s.install(db, hashTag(contentHash), epoch)
-	s.metrics.reloads.Add(1)
+	s.metrics.reloads.Inc()
 }
 
 // cur returns the current serving generation.
@@ -306,20 +302,6 @@ func (s *Server) cur() *dbState { return s.state.Load() }
 // /v1/events and /v1/events/watch. Call before serving; not safe to change
 // while requests are in flight.
 func (s *Server) AttachEvents(feed EventFeed) { s.events = feed }
-
-// StatsSource is implemented by subsystems that export their own metric
-// families into the server's Prometheus exposition (the tracker, a
-// cluster origin or replica).
-type StatsSource interface {
-	StatsFamilies(prefix string) []obs.MetricFamily
-}
-
-// AddStatsSource merges an additional family provider into
-// /metrics/prometheus. Call before serving; not safe to call while
-// requests are in flight.
-func (s *Server) AddStatsSource(src StatsSource) {
-	s.extraStats = append(s.extraStats, src)
-}
 
 // Mount attaches a subsystem handler (e.g. the cluster origin's
 // /cluster/v1/* endpoints) under prefix on the server's mux, sharing the
@@ -341,7 +323,6 @@ func (s *Server) Generation() (hash string, epoch uint64) {
 
 // route registers an instrumented handler under a Go 1.22 mux pattern.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.metrics.registerRoute(pattern)
 	s.mux.Handle(pattern, s.instrument(pattern, h))
 }
 
@@ -351,6 +332,9 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 // counters. The outbound Traceparent and X-Trace-Id headers let callers
 // correlate a response with its entry in /debug/traces.
 func (s *Server) instrument(route string, next http.Handler) http.Handler {
+	// The route's handles are resolved once, so a request counts without a
+	// label lookup.
+	requests, latency := s.metrics.requests.With(route), s.metrics.latency.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var (
 			ctx  context.Context
@@ -378,7 +362,7 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		elapsed := time.Since(start)
 		s.metrics.inFlight.Add(-1)
-		s.metrics.record(route, rec.code, elapsed, span.TraceID())
+		s.metrics.record(requests, latency, rec.code, elapsed, span.TraceID())
 
 		span.SetAttr("status", strconv.Itoa(rec.code))
 		span.End()
@@ -389,9 +373,10 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 // request-timeout and body-limit middleware. Suitable for httptest.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics exposes the server's counters (cmd/trustd publishes them; tests
-// assert on them).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+// Metrics exposes the server's metric registry: cmd/trustd publishes it
+// with expvar.Publish and includes its subsystems' registries (tracker,
+// cluster origin or replica) in it; tests read series through Value.
+func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // Tracer exposes the server's tracer so debug listeners (cmd/trustd's
 // -debug-addr mux) can serve the same trace ring the API writes into.

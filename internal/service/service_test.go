@@ -50,6 +50,12 @@ func fixture(t testing.TB) (*synth.Ecosystem, *service.Server) {
 func ts(y, m, d int) time.Time { return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC) }
 
 // get performs a GET against the handler and decodes the JSON body into out.
+// metric reads one series from the server's registry, 0 when absent.
+func metric(srv *service.Server, name string, labels ...string) float64 {
+	v, _ := srv.Metrics().Value(name, labels...)
+	return v
+}
+
 func get(t *testing.T, srv *service.Server, path string, out any) *http.Response {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -326,7 +332,7 @@ func TestVerifyAllStoresAndCaching(t *testing.T) {
 			t.Errorf("store %v verdict not cached on the second call", v["store"])
 		}
 	}
-	if srv.Metrics().CacheHits("verdict") == 0 {
+	if metric(srv, "trustd_cache_events_total", "verdict", "hit") == 0 {
 		t.Error("verdict cache hit counter is zero after a repeat request")
 	}
 }
@@ -407,23 +413,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	postVerify(t, srv, body) // warm: verdict cache hit
 
 	var m struct {
-		Requests      map[string]int64 `json:"requests"`
-		Cache         map[string]int64 `json:"cache"`
-		VerdictsTotal int64            `json:"verdicts_total"`
-		Outcomes      map[string]int64 `json:"verify_outcomes"`
+		Requests      map[string]float64            `json:"trustd_requests_total"`
+		Cache         map[string]map[string]float64 `json:"trustd_cache_events_total"`
+		VerdictsTotal float64                       `json:"trustd_verdicts_total"`
+		Outcomes      map[string]float64            `json:"trustd_verify_outcomes_total"`
 	}
 	res := get(t, srv, "/metrics", &m)
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
 	if m.Requests["POST /v1/verify"] != 2 {
-		t.Errorf("request counter = %d, want 2", m.Requests["POST /v1/verify"])
+		t.Errorf("request counter = %v, want 2", m.Requests["POST /v1/verify"])
 	}
-	if m.Cache["verdict_hits"] == 0 {
-		t.Error("verdict_hits = 0 after a warm request")
+	if m.Cache["verdict"]["hit"] == 0 {
+		t.Error("verdict cache hits = 0 after a warm request")
 	}
 	if m.VerdictsTotal != 2 {
-		t.Errorf("verdicts_total = %d, want 2", m.VerdictsTotal)
+		t.Errorf("verdicts_total = %v, want 2", m.VerdictsTotal)
 	}
 	if m.Outcomes["anchor-partial-distrust"] == 0 {
 		t.Error("outcome counter missing anchor-partial-distrust")

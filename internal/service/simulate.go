@@ -96,7 +96,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	res, err := st.engine().Simulate(ev)
 	span.End()
 	if err != nil {
-		s.metrics.simEvents.Add("error", 1)
+		s.metrics.simEvents.With("error").Inc()
 		switch {
 		case errors.Is(err, simulate.ErrUnknownProvider), errors.Is(err, simulate.ErrNoAffectedRoots):
 			s.writeError(w, http.StatusNotFound, "%v", err)
@@ -105,7 +105,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.metrics.simEvents.Add(string(ev.Kind), 1)
+	s.metrics.simEvents.With(string(ev.Kind)).Inc()
 	s.writeJSON(w, http.StatusOK, res)
 }
 
@@ -143,7 +143,7 @@ func (s *Server) handleSimulateSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, buildDur := st.sweepRanking(r, s)
-	s.metrics.simSweeps.Add(1)
+	s.metrics.simSweeps.Inc()
 	s.writeJSON(w, http.StatusOK, sweepResponse{
 		Purpose: res.Purpose,
 		Roots:   res.Roots,
@@ -176,9 +176,9 @@ func (st *dbState) sweepRanking(r *http.Request, s *Server) (*simulate.SweepResu
 		st.sweepDur = time.Since(start)
 		span.SetAttr("pairs", strconv.Itoa(st.sweepRes.Pairs))
 		span.End()
-		s.metrics.simSweepBuilds.Add(1)
-		s.metrics.simSweepPairs.Set(int64(st.sweepRes.Pairs))
-		s.metrics.simSweepBuildMs.Set(float64(st.sweepDur) / float64(time.Millisecond))
+		s.metrics.simSweepBuilds.Inc()
+		s.metrics.simSweepPairs.Set(float64(st.sweepRes.Pairs))
+		s.metrics.simSweepBuild.Set(st.sweepDur.Seconds())
 	})
 	return st.sweepRes, st.sweepDur
 }

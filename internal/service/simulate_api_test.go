@@ -197,8 +197,8 @@ func TestSimulateSweepCachingAndETag(t *testing.T) {
 
 	// The ranking is computed once per generation however many times it
 	// is served.
-	if builds := srv.Metrics().SimulateSweepBuilds(); builds != 1 {
-		t.Errorf("sweep builds = %d after 2 full responses, want 1", builds)
+	if builds := metric(srv, "trustd_simulate_sweep_builds_total"); builds != 1 {
+		t.Errorf("sweep builds = %v after 2 full responses, want 1", builds)
 	}
 
 	// A conditional request against the same generation costs a 304.
@@ -229,8 +229,8 @@ func TestSimulateSweepCachingAndETag(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-swap conditional status = %d, want 200", rec.Code)
 	}
-	if builds := srv.Metrics().SimulateSweepBuilds(); builds != 2 {
-		t.Errorf("sweep builds = %d after swap, want 2", builds)
+	if builds := metric(srv, "trustd_simulate_sweep_builds_total"); builds != 2 {
+		t.Errorf("sweep builds = %v after swap, want 2", builds)
 	}
 }
 
@@ -368,11 +368,11 @@ func TestSimulateMetricsExposition(t *testing.T) {
 	if get(t, srv, "/v1/simulate/sweep", nil).StatusCode != http.StatusOK {
 		t.Fatal("sweep failed")
 	}
-	if n := srv.Metrics().SimulateEvents("removal"); n < 1 {
-		t.Errorf("simulate_events[removal] = %d, want >= 1", n)
+	if n := metric(srv, "trustd_simulate_events_total", "removal"); n < 1 {
+		t.Errorf("simulate_events[removal] = %v, want >= 1", n)
 	}
-	if n := srv.Metrics().SimulateSweeps(); n < 1 {
-		t.Errorf("simulate_sweeps_total = %d, want >= 1", n)
+	if n := metric(srv, "trustd_simulate_sweeps_total"); n < 1 {
+		t.Errorf("simulate_sweeps_total = %v, want >= 1", n)
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics/prometheus", nil)

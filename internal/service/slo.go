@@ -11,6 +11,8 @@ package service
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 const (
@@ -107,4 +109,30 @@ func (r *sloRing) burnRates(minutes int64) (availability, latency float64, reque
 	availability = (float64(errs) / float64(req)) / (1 - sloAvailabilityTarget)
 	latency = (float64(slow) / float64(req)) / (1 - sloLatencyTarget)
 	return availability, latency, req
+}
+
+// register declares the SLO families on reg under the namespace prefix:
+// the SLO definitions as gauges (so alert rules can read targets off the
+// exposition instead of hard-coding them) plus multi-window burn rates for
+// the fast-burn/slow-burn alerting pair, computed from the ring at scrape
+// time.
+func (r *sloRing) register(reg *obs.Registry, ns string) {
+	reg.GaugeFunc(ns+"slo_availability_target", "Availability SLO: fraction of requests that must not be 5xx.", func() float64 { return sloAvailabilityTarget })
+	reg.GaugeFunc(ns+"slo_latency_target", "Latency SLO: fraction of requests that must finish within the threshold.", func() float64 { return sloLatencyTarget })
+	reg.GaugeFunc(ns+"slo_latency_threshold_seconds", "Latency SLO threshold.", func() float64 { return sloLatencyThreshold.Seconds() })
+	reg.Func(ns+"slo_burn_rate", "Error-budget burn rate by SLO and window (1.0 = consuming budget exactly at the sustainable rate).",
+		obs.Gauge, []string{"slo", "window"}, func(emit func(float64, ...string)) {
+			for _, w := range sloWindows {
+				avail, lat, _ := r.burnRates(w.minutes)
+				emit(avail, "availability", w.label)
+				emit(lat, "latency", w.label)
+			}
+		})
+	reg.Func(ns+"slo_window_requests", "Requests observed in each burn-rate window.",
+		obs.Gauge, []string{"window"}, func(emit func(float64, ...string)) {
+			for _, w := range sloWindows {
+				_, _, req := r.burnRates(w.minutes)
+				emit(float64(req), w.label)
+			}
+		})
 }

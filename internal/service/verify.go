@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"encoding/pem"
 	"errors"
-	"expvar"
 	"fmt"
 	"hash"
 	"net/http"
@@ -125,14 +124,10 @@ type verifyScratch struct {
 	hasher   hash.Hash
 	sum      []byte
 	hexBuf   [2 * sha256.Size]byte
-
-	// outcomeCtr caches per-outcome counters. The pool is per Server, so
-	// the counters always belong to the server counting into them.
-	outcomeCtr map[string]*expvar.Int
 }
 
 func newVerifyScratch() any {
-	return &verifyScratch{hasher: sha256.New(), outcomeCtr: map[string]*expvar.Int{}}
+	return &verifyScratch{hasher: sha256.New()}
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -299,7 +294,7 @@ func (b *verifyRun) appendVerdict(out []byte, sc *verifyScratch, sk *routeSnap, 
 	sc.keyBuf = key
 
 	if v, ok := b.st.verdicts.get(key); ok {
-		b.countVerdict(sc, v.Outcome, true)
+		b.countVerdict(v.Outcome, true)
 		return appendVerdictJSON(out, sk.pre, &v, true), nil
 	}
 	if len(sc.certs) == 0 {
@@ -344,28 +339,23 @@ func (b *verifyRun) appendVerdict(out []byte, sc *verifyScratch, sk *routeSnap, 
 	}
 	span.Annotate("outcome", v.Outcome)
 	span.End()
-	b.countVerdict(sc, v.Outcome, false)
+	b.countVerdict(v.Outcome, false)
 	return appendVerdictJSON(out, sk.pre, &v, false), nil
 }
 
-// countVerdict records one emitted verdict with pre-resolved counters, so
-// the warm path is a few atomic adds rather than expvar.Map walks.
-func (b *verifyRun) countVerdict(sc *verifyScratch, outcome string, hit bool) {
+// countVerdict records one emitted verdict: a few atomic adds, the
+// outcome's counter found without locking or allocating.
+func (b *verifyRun) countVerdict(outcome string, hit bool) {
 	m := b.s.metrics
 	if hit {
-		m.verdictHits.Add(1)
+		m.verdictHit.Inc()
 	} else {
-		m.verdictMisses.Add(1)
+		m.verdictMiss.Inc()
 	}
-	ctr, seen := sc.outcomeCtr[outcome]
-	if !seen {
-		ctr = m.outcomeCounter(outcome)
-		sc.outcomeCtr[outcome] = ctr
-	}
-	ctr.Add(1)
-	m.verified.Add(1)
+	m.outcomes.With(outcome).Inc()
+	m.verified.Inc()
 	if b.batch {
-		m.batchVerdicts.Add(1)
+		m.batchVerdicts.Inc()
 	}
 }
 

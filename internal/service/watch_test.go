@@ -233,10 +233,10 @@ func TestWatchEndToEndHotReload(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if got := inner.Metrics().ReloadCount(); got != 1 {
-		t.Errorf("reloads_total = %d, want 1", got)
+	if got := metric(inner, "trustd_reloads_total"); got != 1 {
+		t.Errorf("reloads_total = %v, want 1", got)
 	}
-	if lag := inner.Metrics().ProviderLagSeconds("NSS"); lag < 0 {
+	if _, ok := inner.Metrics().Value("trustd_provider_lag_seconds", "NSS"); !ok {
 		t.Error("NSS lag gauge missing after reload")
 	}
 }

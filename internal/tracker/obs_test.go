@@ -1,8 +1,8 @@
 package tracker
 
-// Tracing and stats tests: the rescan pipeline's trace anatomy, the
-// no-change-poll discard, and the Prometheus families the tracker exports
-// through the serving layer's statsProvider hook.
+// Tracing and metrics tests: the rescan pipeline's trace anatomy, the
+// no-change-poll discard, and the metric families the tracker declares in
+// the registry the serving layer includes.
 
 import (
 	"io"
@@ -14,6 +14,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 )
+
+// metric reads one series from the tracker's registry, 0 when absent.
+func metric(trk *Tracker, name string) float64 {
+	v, _ := trk.Metrics().Value(name)
+	return v
+}
 
 func quietTracer() *obs.Tracer {
 	return obs.NewTracer(obs.Options{
@@ -101,49 +107,42 @@ func TestNoChangePollDiscardsTrace(t *testing.T) {
 	if got := len(tr.Recent(0)); got != 1 {
 		t.Fatalf("traces after idle polls = %d, want 1 (idle polls must discard)", got)
 	}
-	if st := trk.Stats(); st.Rescans != 4 || st.Reloads != 1 {
-		t.Errorf("stats = %+v, want 4 rescans / 1 reload", st)
+	if rescans, reloads := metric(trk, "trustd_tracker_rescans_total"), metric(trk, "trustd_tracker_reloads_total"); rescans != 4 || reloads != 1 {
+		t.Errorf("%v rescans / %v reloads, want 4 / 1", rescans, reloads)
 	}
 }
 
-// TestStatsFamiliesLintClean holds the tracker's Prometheus families to
-// the same lint bar as the serving layer's.
-func TestStatsFamiliesLintClean(t *testing.T) {
+// TestTrackerMetricsLintClean holds the tracker's metric families to the
+// same lint bar as the serving layer's.
+func TestTrackerMetricsLintClean(t *testing.T) {
 	root := t.TempDir()
 	seedTree(t, root)
 	trk := newTestTracker(t, root, nil)
 	if _, err := trk.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	fams := trk.StatsFamilies("trustd_")
-	if problems := obs.Lint(fams); len(problems) != 0 {
-		t.Fatalf("lint: %v", problems)
+	fams := trk.Metrics().Families()
+	if got := metric(trk, "trustd_tracker_rescans_total"); got != 1 {
+		t.Errorf("rescans = %v", got)
 	}
-	byName := map[string]float64{}
-	for _, f := range fams {
-		if len(f.Samples) == 1 {
-			byName[f.Name] = f.Samples[0].Value
-		}
-	}
-	if byName["trustd_tracker_rescans_total"] != 1 {
-		t.Errorf("rescans = %v", byName["trustd_tracker_rescans_total"])
-	}
-	if byName["trustd_tracker_events_emitted_total"] == 0 {
+	if metric(trk, "trustd_tracker_events_emitted_total") == 0 {
 		t.Error("no events counted after history replay")
 	}
-	if byName["trustd_tracker_last_reload_seconds"] <= 0 {
+	if metric(trk, "trustd_tracker_last_reload_seconds") <= 0 {
 		t.Error("last reload duration not recorded")
 	}
-	if byName["trustd_tracker_dirs_digested_total"] != 3 || byName["trustd_tracker_dirs_statted_total"] != 3 {
-		t.Errorf("digested %v, statted %v directories; want the tree's 3 each",
-			byName["trustd_tracker_dirs_digested_total"], byName["trustd_tracker_dirs_statted_total"])
+	if digested, statted := metric(trk, "trustd_tracker_dirs_digested_total"), metric(trk, "trustd_tracker_dirs_statted_total"); digested != 3 || statted != 3 {
+		t.Errorf("digested %v, statted %v directories; want the tree's 3 each", digested, statted)
 	}
-	if want := map[bool]float64{true: 1, false: 0}[runtime.GOOS == "linux"]; byName["trustd_tracker_inotify"] != want {
-		t.Errorf("trustd_tracker_inotify = %v, want %v", byName["trustd_tracker_inotify"], want)
+	if want := map[bool]float64{true: 1, false: 0}[runtime.GOOS == "linux"]; metric(trk, "trustd_tracker_inotify") != want {
+		t.Errorf("trustd_tracker_inotify = %v, want %v", metric(trk, "trustd_tracker_inotify"), want)
 	}
 	var sb strings.Builder
 	if err := obs.WriteExposition(&sb, fams); err != nil {
 		t.Fatal(err)
+	}
+	if problems := obs.LintExposition(strings.NewReader(sb.String())); len(problems) != 0 {
+		t.Fatalf("lint: %v", problems)
 	}
 	if !strings.Contains(sb.String(), "# TYPE trustd_tracker_reloads_total counter") {
 		t.Errorf("exposition missing reloads family:\n%s", sb.String())
@@ -158,7 +157,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if _, err := trk.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	if st := trk.Stats(); st.Reloads != 1 {
-		t.Errorf("stats without tracer = %+v", st)
+	if got := metric(trk, "trustd_tracker_reloads_total"); got != 1 {
+		t.Errorf("reloads without tracer = %v, want 1", got)
 	}
 }

@@ -29,15 +29,15 @@ func TestReloadDigestsOnlyChangedDirs(t *testing.T) {
 	if _, err := trk.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	if got := trk.Stats().DirsDigested; got != 3 {
-		t.Fatalf("initial ingest digested %d dirs, want 3", got)
+	if got := metric(trk, "trustd_tracker_dirs_digested_total"); got != 3 {
+		t.Fatalf("initial ingest digested %v dirs, want 3", got)
 	}
 	writePEM(t, root, "Debian", "2020-05-01", trusted(t, 1, 2))
 	if n, err := trk.Rescan(); err != nil || n != 1 {
 		t.Fatalf("rescan = %d, %v; want 1", n, err)
 	}
-	if got := trk.Stats().DirsDigested; got != 4 {
-		t.Fatalf("after one change %d dirs digested in all, want 4", got)
+	if got := metric(trk, "trustd_tracker_dirs_digested_total"); got != 4 {
+		t.Fatalf("after one change %v dirs digested in all, want 4", got)
 	}
 	// A directory rewritten in place is re-parsed, so its digest is read
 	// again too.
@@ -45,8 +45,8 @@ func TestReloadDigestsOnlyChangedDirs(t *testing.T) {
 	if n, err := trk.Rescan(); err != nil || n != 1 {
 		t.Fatalf("rescan after rewrite = %d, %v; want 1", n, err)
 	}
-	if got := trk.Stats().DirsDigested; got != 5 {
-		t.Fatalf("after the rewrite %d dirs digested in all, want 5", got)
+	if got := metric(trk, "trustd_tracker_dirs_digested_total"); got != 5 {
+		t.Fatalf("after the rewrite %v dirs digested in all, want 5", got)
 	}
 
 	r, err := archive.Open(filepath.Join(root, catalog.DefaultArchiveName))

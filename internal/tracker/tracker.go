@@ -74,14 +74,13 @@ type Tracker struct {
 	dbHash   [archive.HashLen]byte // archive.HashDatabase(db) when known, else zero
 	removals map[string]*removalRecord
 
-	// Pipeline counters, written with atomics so Stats and StatsFamilies
-	// can be served from any goroutine without taking mu.
-	statRescans       atomic.Uint64
-	statReloads       atomic.Uint64
-	statEvents        atomic.Uint64
-	statLastReloadNS  atomic.Int64
-	statReloadTotalNS atomic.Int64
-	statDigested      atomic.Int64
+	// Pipeline metrics, atomic handles any goroutine can read without
+	// taking mu. digested mirrors the digest's directory count, which only
+	// the rescan goroutine may read.
+	metrics                          *obs.Registry
+	rescans, reloads, events, reload *obs.CounterVar
+	lastReload                       *obs.GaugeVar
+	digested                         atomic.Int64
 }
 
 // stamp is the change detector for one snapshot directory: a same-second
@@ -128,14 +127,45 @@ func New(cfg Config) (*Tracker, error) {
 			return nil, err
 		}
 	}
-	return &Tracker{
+	t := &Tracker{
 		cfg:      cfg,
 		log:      l,
 		bus:      NewBus(),
 		seen:     make(map[string]stamp),
 		removals: make(map[string]*removalRecord),
-	}, nil
+	}
+	t.declareMetrics()
+	return t, nil
 }
+
+// declareMetrics declares the tracker's families in its own registry;
+// the server hosting the tracker includes it.
+func (t *Tracker) declareMetrics() {
+	r := obs.NewRegistry()
+	t.metrics = r
+	t.rescans = r.Counter("trustd_tracker_rescans_total", "Source rescans, including polls that found no changes.")
+	t.reloads = r.Counter("trustd_tracker_reloads_total", "Rescans that ingested changes and installed a new database.")
+	t.events = r.Counter("trustd_tracker_events_emitted_total", "Classified change events appended to the event log.")
+	t.lastReload = r.Gauge("trustd_tracker_last_reload_seconds", "Duration of the most recent reload.")
+	t.reload = r.Counter("trustd_tracker_reload_seconds_total", "Cumulative time spent reloading the database.")
+	r.CounterFunc("trustd_tracker_dirs_digested_total", "Snapshot directories read to hash the tree for sidecar refreshes.",
+		func() float64 { return float64(t.digested.Load()) })
+	src, ok := t.cfg.Source.(interface{ SourceStats() SourceStats })
+	if !ok {
+		return
+	}
+	r.GaugeFunc("trustd_tracker_inotify", "1 while an inotify dirty set drives scans, 0 while every scan stat-walks the tree.",
+		func() float64 { return map[bool]float64{true: 1}[src.SourceStats().Inotify] })
+	r.GaugeFunc("trustd_tracker_inotify_watches", "Directories carrying an inotify watch.",
+		func() float64 { return float64(src.SourceStats().Watches) })
+	r.CounterFunc("trustd_tracker_inotify_overflows_total", "Inotify queue overflows, each answered with one full walk.",
+		func() float64 { return float64(src.SourceStats().Overflows) })
+	r.CounterFunc("trustd_tracker_dirs_statted_total", "Snapshot directories stat-walked by scans.",
+		func() float64 { return float64(src.SourceStats().DirsStatted) })
+}
+
+// Metrics returns the tracker's metric registry.
+func (t *Tracker) Metrics() *obs.Registry { return t.metrics }
 
 // Log exposes the event log for replay.
 func (t *Tracker) Log() *Log { return t.log }
@@ -157,7 +187,7 @@ func (t *Tracker) LastSeq() uint64 { return t.log.LastSeq() }
 // one inside an OnReload hook, which fires before the reload's bookkeeping
 // closes — cluster origins therefore keep their own publish epoch and use
 // this only as a coarse progress signal.
-func (t *Tracker) Epoch() uint64 { return t.statReloads.Load() }
+func (t *Tracker) Epoch() uint64 { return uint64(t.reloads.Value()) }
 
 // Database returns the most recently ingested database (nil before the
 // first successful Rescan). The returned database is immutable: every
@@ -284,7 +314,7 @@ func (t *Tracker) Rescan() (int, error) {
 	t.rescanMu.Lock()
 	defer t.rescanMu.Unlock()
 	start := time.Now()
-	t.statRescans.Add(1)
+	t.rescans.Inc()
 	ctx, trace := t.cfg.Tracer.Start(context.Background(), "tracker.rescan")
 	defer trace.End()
 
@@ -350,7 +380,7 @@ func (t *Tracker) Rescan() (int, error) {
 		newDB, dbHash, err = t.spliceReload(lctx, dirs, changed, oldDB)
 	}
 	if t.digest != nil {
-		t.statDigested.Store(int64(t.digest.Hashed()))
+		t.digested.Store(int64(t.digest.Hashed()))
 	}
 	loadSpan.End()
 	if err != nil {
@@ -428,10 +458,10 @@ func (t *Tracker) Rescan() (int, error) {
 // reload counters, durations, and the event count on the trace.
 func (t *Tracker) finishReload(start time.Time, emitted int, trace, classifySpan *obs.Span) {
 	elapsed := time.Since(start)
-	t.statReloads.Add(1)
-	t.statEvents.Add(uint64(emitted))
-	t.statLastReloadNS.Store(int64(elapsed))
-	t.statReloadTotalNS.Add(int64(elapsed))
+	t.reloads.Inc()
+	t.events.Add(float64(emitted))
+	t.lastReload.Set(elapsed.Seconds())
+	t.reload.Add(elapsed.Seconds())
 	classifySpan.SetAttr("events", strconv.Itoa(emitted))
 	trace.SetAttr("events", strconv.Itoa(emitted))
 }
