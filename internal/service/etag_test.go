@@ -70,6 +70,7 @@ func TestETagConditionalGet(t *testing.T) {
 	// The tag is shared across read endpoints: same generation, same hash.
 	fp := fingerprintOf(t, db, 0)
 	for _, path := range []string{
+		"/v1/providers/NSS/snapshots",
 		"/v1/roots/" + fp,
 		"/v1/diff?a=NSS&b=Debian",
 	} {
@@ -118,6 +119,10 @@ func TestETagNeverMasksErrors(t *testing.T) {
 	// Malformed fingerprint: 400.
 	if res := condGet(t, srv, "/v1/roots/nothex", "*"); res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed fingerprint with If-None-Match *: %d, want 400", res.StatusCode)
+	}
+	// Unknown provider's snapshot list: 404 beats 304.
+	if res := condGet(t, srv, "/v1/providers/NoSuchStore/snapshots", "*"); res.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown provider with If-None-Match *: %d, want 404", res.StatusCode)
 	}
 	// Unresolvable diff ref: 404 beats 304.
 	if res := condGet(t, srv, "/v1/diff?a=NSS&b=NoSuchStore", "*"); res.StatusCode != http.StatusNotFound {

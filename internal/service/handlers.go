@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/store"
@@ -29,6 +32,42 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+}
+
+// renderedBody is a 200 response body that is a pure function of one
+// serving generation. It is rendered on first use — the bytes writeJSON
+// would write for the same value — and served as stored bytes after
+// that. Bodies live on the generation (dbState, RootIndex) and die with
+// it on swap, so a body can never outlive its database.
+type renderedBody struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// get returns the body, rendering build's value on the first call.
+func (b *renderedBody) get(build func() any) ([]byte, error) {
+	b.once.Do(func() {
+		var buf bytes.Buffer
+		b.err = json.NewEncoder(&buf).Encode(build())
+		b.body = buf.Bytes()
+	})
+	return b.body, b.err
+}
+
+// writeRendered writes a rendered body with an explicit Content-Length,
+// or a 500 envelope when it could not be rendered.
+func (s *Server) writeRendered(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		s.log.Warn("encode response", "err", err)
+		s.writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // readBody reads a request body into buf, answering an over-cap body with
@@ -90,11 +129,18 @@ func (s *Server) handleProviders(w http.ResponseWriter, r *http.Request) {
 	if s.conditionalGet(w, r, st) {
 		return
 	}
+	body, err := st.providersBody.get(st.providersResponse)
+	s.writeRendered(w, body, err)
+}
+
+// providersResponse builds the GET /v1/providers response of the
+// generation.
+func (st *dbState) providersResponse() any {
 	resp := providersResponse{
 		TotalSnapshots: st.db.TotalSnapshots(),
 		IndexedRoots:   st.index.Size(),
 	}
-	for _, name := range st.db.Providers() {
+	for _, name := range st.providers {
 		h := st.db.History(name)
 		latest := h.Latest()
 		resp.Providers = append(resp.Providers, providerSummary{
@@ -107,7 +153,7 @@ func (s *Server) handleProviders(w http.ResponseWriter, r *http.Request) {
 			LatestRoots:   latest.Len(),
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // snapshotSummary is one row of GET /v1/providers/{p}/snapshots.
@@ -127,12 +173,29 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("provider")
 	st := s.cur()
 	s.stampGeneration(w, st)
-	h := st.db.History(name)
-	if h == nil {
+	i, ok := st.providerPos(name)
+	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown provider %q", name)
 		return
 	}
-	resp := snapshotsResponse{Provider: name}
+	if s.conditionalGet(w, r, st) {
+		return
+	}
+	body, err := st.snapshotBodies[i].get(func() any { return snapshotsOf(st.db.History(name)) })
+	s.writeRendered(w, body, err)
+}
+
+// providerPos returns the position of the named provider in the
+// generation's sorted provider list.
+func (st *dbState) providerPos(name string) (int, bool) {
+	i := sort.SearchStrings(st.providers, name)
+	return i, i < len(st.providers) && st.providers[i] == name
+}
+
+// snapshotsOf builds the GET /v1/providers/{p}/snapshots response of one
+// provider's history.
+func snapshotsOf(h *store.History) snapshotsResponse {
+	resp := snapshotsResponse{Provider: h.Provider}
 	for _, snap := range h.Snapshots() {
 		resp.Snapshots = append(resp.Snapshots, snapshotSummary{
 			Version:    snap.Version,
@@ -141,14 +204,14 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 			TrustedTLS: snap.TrustedCount(store.ServerAuth),
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	st := s.cur()
 	s.stampGeneration(w, st)
-	info, ok := st.index.Lookup(fp)
+	id, ok := st.index.lookupID(fp)
 	if !ok {
 		// Distinguish malformed hex from a clean miss.
 		if !isHexFingerprint(fp) {
@@ -161,7 +224,8 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	if s.conditionalGet(w, r, st) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	body, err := st.index.body(id)
+	s.writeRendered(w, body, err)
 }
 
 func isHexFingerprint(s string) bool {
@@ -329,7 +393,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.stampGeneration(w, st)
 	s.writeJSON(w, http.StatusOK, healthResponse{
 		Status:       "ok",
-		Providers:    len(st.db.Providers()),
+		Providers:    len(st.providers),
 		Snapshots:    st.db.TotalSnapshots(),
 		IndexedRoots: st.index.Size(),
 		Generation:   generationInfo{Hash: st.hashHex(), Epoch: st.epoch},

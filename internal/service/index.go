@@ -47,6 +47,10 @@ type RootIndex struct {
 	interner *store.Interner
 	infos    []*RootInfo // indexed by interned ID; nil gaps are legal
 	roots    int
+	// bodies holds each root's GET /v1/roots/{fp} body, rendered on the
+	// root's first request: indexed like infos, so only roots of this
+	// database can ever be memoized.
+	bodies []renderedBody
 }
 
 // BuildIndex walks every snapshot of every provider.
@@ -78,6 +82,7 @@ func BuildIndex(db *store.Database) *RootIndex {
 			}
 		}
 	}
+	ix.bodies = make([]renderedBody, len(ix.infos))
 	return ix
 }
 
@@ -115,15 +120,30 @@ func presenceOf(snap *store.Snapshot, e *store.TrustEntry, trustMaps map[uint64]
 
 // Lookup resolves a hex fingerprint (optionally colon-separated).
 func (ix *RootIndex) Lookup(hexFP string) (*RootInfo, bool) {
-	fp, err := certutil.ParseFingerprint(hexFP)
-	if err != nil {
-		return nil, false
-	}
-	id, ok := ix.interner.LookupID(fp)
-	if !ok || int(id) >= len(ix.infos) || ix.infos[id] == nil {
+	id, ok := ix.lookupID(hexFP)
+	if !ok {
 		return nil, false
 	}
 	return ix.infos[id], true
+}
+
+// lookupID resolves a hex fingerprint to the interned ID of an indexed
+// root.
+func (ix *RootIndex) lookupID(hexFP string) (uint32, bool) {
+	fp, err := certutil.ParseFingerprint(hexFP)
+	if err != nil {
+		return 0, false
+	}
+	id, ok := ix.interner.LookupID(fp)
+	if !ok || int(id) >= len(ix.infos) || ix.infos[id] == nil {
+		return 0, false
+	}
+	return id, true
+}
+
+// body returns the GET /v1/roots/{fp} body of the indexed root id.
+func (ix *RootIndex) body(id uint32) ([]byte, error) {
+	return ix.bodies[id].get(func() any { return ix.infos[id] })
 }
 
 // Size returns the number of distinct roots indexed.

@@ -163,6 +163,14 @@ type dbState struct {
 	sweepOnce sync.Once
 	sweepRes  *simulate.SweepResult
 	sweepDur  time.Duration
+
+	// The read bodies are pure functions of db as well: GET /v1/providers
+	// and each provider's snapshot list (by position in the sorted
+	// providers) are rendered on first request and die with the
+	// generation. Root bodies live on the index.
+	providers      []string
+	providersBody  renderedBody
+	snapshotBodies []renderedBody
 }
 
 // Server serves the trust-anchor API over an atomically swappable database.
@@ -228,12 +236,15 @@ func New(db *store.Database, cfg Config) *Server {
 // computed lazily on first conditional use.
 func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 	start := time.Now()
+	providers := db.Providers()
 	st := &dbState{
-		db:        db,
-		index:     BuildIndex(db),
-		verifiers: newVerifierCache(s.metrics),
-		verdicts:  newLRUCache(s.cfg.VerdictCacheSize),
-		epoch:     epoch,
+		db:             db,
+		index:          BuildIndex(db),
+		verifiers:      newVerifierCache(s.metrics),
+		verdicts:       newLRUCache(s.cfg.VerdictCacheSize),
+		epoch:          epoch,
+		providers:      providers,
+		snapshotBodies: make([]renderedBody, len(providers)),
 	}
 	if tag != "" {
 		st.etagOnce.Do(func() { st.etagVal = tag })
