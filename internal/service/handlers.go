@@ -67,7 +67,7 @@ func (s *Server) writeRendered(w http.ResponseWriter, body []byte, err error) {
 	h.Set("Content-Type", "application/json; charset=utf-8")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	_, _ = w.Write(body) // fails only once the client has gone; nothing left to answer
 }
 
 // readBody reads a request body into buf, answering an over-cap body with
@@ -393,7 +393,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.stampGeneration(w, st)
 	s.writeJSON(w, http.StatusOK, healthResponse{
 		Status:       "ok",
-		Providers:    len(st.providers),
+		Providers:    len(st.db.Providers()),
 		Snapshots:    st.db.TotalSnapshots(),
 		IndexedRoots: st.index.Size(),
 		Generation:   generationInfo{Hash: st.hashHex(), Epoch: st.epoch},
