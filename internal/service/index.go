@@ -41,8 +41,9 @@ type RootInfo struct {
 // RootIndex is the inverted index. Fingerprints are resolved through the
 // database's interner to dense uint32 IDs — the same ID space the
 // analysis bitsets use — so the info table is a flat slice instead of a
-// 32-byte-keyed map. It is built once at startup and immutable
-// afterwards, so concurrent readers need no locking.
+// 32-byte-keyed map. It is built once per generation and immutable
+// afterwards, so concurrent readers need no locking; only the rendered
+// bodies fill in later, each behind its own sync.Once.
 type RootIndex struct {
 	interner *store.Interner
 	infos    []*RootInfo // indexed by interned ID; nil gaps are legal

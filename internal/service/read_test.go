@@ -154,8 +154,8 @@ func TestReadBodiesMatchEncoder(t *testing.T) {
 		}
 	}
 	want := refBodies(t, eco.DB, fps...)
-	if n := len(want) - 1 - len(eco.DB.Providers()); n != service.BuildIndex(eco.DB).Size() {
-		t.Fatalf("%d roots checked, index holds %d", n, service.BuildIndex(eco.DB).Size())
+	if n, roots := len(want)-1-len(eco.DB.Providers()), service.BuildIndex(eco.DB).Size(); n != roots {
+		t.Fatalf("%d roots checked, index holds %d", n, roots)
 	}
 	srv := service.New(eco.DB, service.Config{}) // fresh, so every body starts cold
 	for path, body := range want {

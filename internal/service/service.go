@@ -7,8 +7,9 @@
 // of the module. Design notes:
 //
 //   - The database, its fingerprint → (provider, version) inverted index
-//     (RootIndex) and the caches keyed on its snapshots live together in
-//     one immutable state struct behind an atomic pointer. Reads need no
+//     (RootIndex), the caches keyed on its snapshots and its rendered read
+//     bodies live together in one immutable state struct behind an atomic
+//     pointer. Reads need no
 //     locks; Swap installs a freshly ingested database without dropping a
 //     single in-flight request — the hot-reload path internal/tracker
 //     drives.
