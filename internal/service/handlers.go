@@ -129,13 +129,12 @@ func (s *Server) handleProviders(w http.ResponseWriter, r *http.Request) {
 	if s.conditionalGet(w, r, st) {
 		return
 	}
-	body, err := st.providersBody.get(st.providersResponse)
+	body, err := st.providersBody.get(func() any { return providersOf(st) })
 	s.writeRendered(w, body, err)
 }
 
-// providersResponse builds the GET /v1/providers response of the
-// generation.
-func (st *dbState) providersResponse() any {
+// providersOf builds the GET /v1/providers response of a generation.
+func providersOf(st *dbState) providersResponse {
 	resp := providersResponse{
 		TotalSnapshots: st.db.TotalSnapshots(),
 		IndexedRoots:   st.index.Size(),
