@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/catalog"
@@ -153,25 +152,11 @@ func TestColdStartSpeedupCT(t *testing.T) {
 		}
 	}
 
-	const rounds = 3
-	var parse, dec time.Duration
-	for i := 0; i < rounds; i++ {
-		start := time.Now()
-		if _, err := catalog.LoadTree(tree, catalog.Options{Archive: catalog.ArchiveOff}); err != nil {
-			t.Fatal(err)
-		}
-		parse += time.Since(start)
-
-		start = time.Now()
-		if _, err := archive.ReadFile(sidecar); err != nil {
-			t.Fatal(err)
-		}
-		dec += time.Since(start)
-	}
+	parse, dec := coldStartMedians(t, tree, sidecar)
 	if dec*10 > parse {
 		t.Fatalf("CT cold start not >=10x faster: parse=%v decode=%v (%.1fx)",
-			parse/rounds, dec/rounds, float64(parse)/float64(dec))
+			parse, dec, float64(parse)/float64(dec))
 	}
 	t.Logf("CT cold start: parse=%v decode=%v (%.1fx faster)",
-		parse/rounds, dec/rounds, float64(parse)/float64(dec))
+		parse, dec, float64(parse)/float64(dec))
 }

@@ -23,7 +23,10 @@ func (e *enc) blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-func (e *enc) str(s string) { e.blob([]byte(s)) }
+func (e *enc) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
 
 // instant encodes a time as Unix seconds + nanoseconds. The zero time's
 // instant (year 1) round-trips to a time for which IsZero is true, so no

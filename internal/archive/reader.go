@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -415,7 +416,6 @@ func decodeSnapshot(d *dec, provider string, p *pool) (*store.Snapshot, int) {
 
 	snap := store.NewSnapshot(provider, version, date)
 	entries := make([]*store.TrustEntry, len(ids))
-	index := make(map[uint32]int, len(ids))
 	for i, id := range ids {
 		if int(id) >= len(p.ders) {
 			d.fail(corruptf("%s@%s: member id %d outside cert pool", provider, version, id))
@@ -426,11 +426,11 @@ func decodeSnapshot(d *dec, provider string, p *pool) (*store.Snapshot, int) {
 			Cert:        p.certs[id],
 			Fingerprint: p.fps[id],
 			Label:       d.str(),
-			Trust:       make(map[store.Purpose]store.TrustLevel),
 		}
-		index[id] = i
 	}
 
+	// ids ascend (bitset order), so a member's entry is found by binary
+	// search over them.
 	for _, purpose := range store.AllPurposes {
 		for _, level := range trustPlanes {
 			plane := bitset.FromWords(d.words())
@@ -438,12 +438,12 @@ func decodeSnapshot(d *dec, provider string, p *pool) (*store.Snapshot, int) {
 				return nil, 0
 			}
 			for _, id := range plane.IDs() {
-				i, ok := index[id]
+				i, ok := slices.BinarySearch(ids, id)
 				if !ok {
 					d.fail(corruptf("%s@%s: %s/%s plane id %d is not a member", provider, version, purpose, level, id))
 					return nil, 0
 				}
-				entries[i].Trust[purpose] = level
+				entries[i].SetTrust(purpose, level)
 			}
 		}
 	}
@@ -453,7 +453,7 @@ func decodeSnapshot(d *dec, provider string, p *pool) (*store.Snapshot, int) {
 		for j := 0; j < n && d.err == nil; j++ {
 			id := uint32(d.uvarint())
 			cutoff := d.instant()
-			i, ok := index[id]
+			i, ok := slices.BinarySearch(ids, id)
 			if !ok {
 				d.fail(corruptf("%s@%s: distrust-after id %d is not a member", provider, version, id))
 				return nil, 0

@@ -12,8 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/certutil"
 	"repro/internal/store"
 )
@@ -49,7 +49,7 @@ type Hashes struct {
 // hash is a fork of the same SHA-256 state rather than a second encode.
 func encodeHashes(w io.Writer, db *store.Database, sourceHash [HashLen]byte) (Hashes, error) {
 	var hs Hashes
-	pool, ids, err := buildPool(db)
+	pool, err := buildPool(db)
 	if err != nil {
 		return hs, err
 	}
@@ -60,7 +60,7 @@ func encodeHashes(w io.Writer, db *store.Database, sourceHash [HashLen]byte) (Ha
 	}{
 		{sectionCertPool, encodePool(pool)},
 		{sectionFingerprints, encodeFingerprints(pool)},
-		{sectionSnapshots, encodeSnapshots(db, ids)},
+		{sectionSnapshots, encodeSnapshots(db, pool)},
 	}
 	if kinds := encodeKinds(db); kinds != nil {
 		sections = append(sections, struct {
@@ -171,9 +171,9 @@ type poolEntry struct {
 	der []byte
 }
 
-// buildPool collects the deduped, fingerprint-sorted cert universe and the
-// fingerprint → dense ID map the snapshot section indexes by.
-func buildPool(db *store.Database) ([]poolEntry, map[certutil.Fingerprint]uint32, error) {
+// buildPool collects the deduped, fingerprint-sorted cert universe. A
+// certificate's pool index is its ID in the snapshot section.
+func buildPool(db *store.Database) ([]poolEntry, error) {
 	byFP := make(map[certutil.Fingerprint][]byte)
 	for _, snap := range db.AllSnapshots() {
 		for _, e := range snap.Entries() {
@@ -181,7 +181,7 @@ func buildPool(db *store.Database) ([]poolEntry, map[certutil.Fingerprint]uint32
 				continue
 			}
 			if got := certutil.SHA256Fingerprint(e.DER); got != e.Fingerprint {
-				return nil, nil, fmt.Errorf("archive: entry %s in %s has DER hashing to %s",
+				return nil, fmt.Errorf("archive: entry %s in %s has DER hashing to %s",
 					e.Fingerprint.Short(), snap.Key(), got.Short())
 			}
 			byFP[e.Fingerprint] = e.DER
@@ -192,11 +192,7 @@ func buildPool(db *store.Database) ([]poolEntry, map[certutil.Fingerprint]uint32
 		pool = append(pool, poolEntry{fp: fp, der: der})
 	}
 	sort.Slice(pool, func(i, j int) bool { return pool[i].fp.Compare(pool[j].fp) < 0 })
-	ids := make(map[certutil.Fingerprint]uint32, len(pool))
-	for i, p := range pool {
-		ids[p.fp] = uint32(i)
-	}
-	return pool, ids, nil
+	return pool, nil
 }
 
 func encodePool(pool []poolEntry) []byte {
@@ -217,8 +213,9 @@ func encodeFingerprints(pool []poolEntry) []byte {
 	return e.buf
 }
 
-func encodeSnapshots(db *store.Database, ids map[certutil.Fingerprint]uint32) []byte {
+func encodeSnapshots(db *store.Database, pool []poolEntry) []byte {
 	var e enc
+	sc := newSnapshotScratch(len(pool))
 	providers := db.Providers()
 	e.uvarint(uint64(len(providers)))
 	for _, name := range providers {
@@ -226,57 +223,102 @@ func encodeSnapshots(db *store.Database, ids map[certutil.Fingerprint]uint32) []
 		e.str(name)
 		e.uvarint(uint64(len(snaps)))
 		for _, snap := range snaps {
-			encodeSnapshot(&e, snap, ids)
+			encodeSnapshot(&e, snap, pool, sc)
 		}
 	}
 	return e.buf
 }
 
-func encodeSnapshot(e *enc, snap *store.Snapshot, ids map[certutil.Fingerprint]uint32) {
+// snapshotScratch is the per-snapshot working set encodeSnapshot reuses
+// from one snapshot to the next: the membership plane, one plane per
+// (purpose, trust level) in wire order, and each purpose's cutoffs.
+type snapshotScratch struct {
+	member  []uint64
+	planes  [][]uint64 // purpose-major: planes[pi*len(trustPlanes)+li]
+	cutoffs [][]cutoff // by purpose index
+}
+
+// cutoff is one partial-distrust date of the member with pool ID id.
+type cutoff struct {
+	id uint32
+	at time.Time
+}
+
+func newSnapshotScratch(poolLen int) *snapshotScratch {
+	n := (poolLen + 63) / 64
+	sc := &snapshotScratch{
+		member:  make([]uint64, n),
+		planes:  make([][]uint64, len(store.AllPurposes)*len(trustPlanes)),
+		cutoffs: make([][]cutoff, len(store.AllPurposes)),
+	}
+	for i := range sc.planes {
+		sc.planes[i] = make([]uint64, n)
+	}
+	return sc
+}
+
+func encodeSnapshot(e *enc, snap *store.Snapshot, pool []poolEntry, sc *snapshotScratch) {
 	e.str(snap.Version)
 	e.instant(snap.Date)
 
-	// Snapshots keep their entries in fingerprint order and the pool
-	// assigns IDs in that same order, so iterating entries is iterating
-	// ascending IDs — labels and bitset members line up by construction.
-	entries := snap.Entries()
-	member := bitset.New(len(ids))
-	for _, en := range entries {
-		member.Add(ids[en.Fingerprint])
+	clear(sc.member)
+	for _, plane := range sc.planes {
+		clear(plane)
 	}
-	e.words(member.Words())
+	for pi := range sc.cutoffs {
+		sc.cutoffs[pi] = sc.cutoffs[pi][:0]
+	}
+
+	// Snapshots keep their entries in fingerprint order and the pool is
+	// in that same order, so one merge walk assigns every entry its pool
+	// ID, ascending — labels, plane bits and cutoffs all line up by
+	// construction. The pool holds every entry's fingerprint.
+	entries := snap.Entries()
+	id := 0
+	for _, en := range entries {
+		for pool[id].fp != en.Fingerprint {
+			id++
+		}
+		word, bit := id/64, uint64(1)<<(id%64)
+		sc.member[word] |= bit
+		for pi, p := range store.AllPurposes {
+			level := en.TrustFor(p)
+			for li, l := range trustPlanes {
+				if level == l {
+					sc.planes[pi*len(trustPlanes)+li][word] |= bit
+				}
+			}
+			if at, ok := en.DistrustAfterFor(p); ok {
+				sc.cutoffs[pi] = append(sc.cutoffs[pi], cutoff{id: uint32(id), at: at})
+			}
+		}
+	}
+
+	e.words(trimWords(sc.member))
 	e.uvarint(uint64(len(entries)))
 	for _, en := range entries {
 		e.str(en.Label)
 	}
-
-	for _, p := range store.AllPurposes {
-		for _, level := range trustPlanes {
-			plane := bitset.New(len(ids))
-			for _, en := range entries {
-				if en.TrustFor(p) == level {
-					plane.Add(ids[en.Fingerprint])
-				}
-			}
-			e.words(plane.Words())
+	for _, plane := range sc.planes {
+		e.words(trimWords(plane))
+	}
+	for _, cs := range sc.cutoffs {
+		e.uvarint(uint64(len(cs)))
+		for _, c := range cs {
+			e.uvarint(uint64(c.id))
+			e.instant(c.at)
 		}
 	}
+}
 
-	for _, p := range store.AllPurposes {
-		var n uint64
-		for _, en := range entries {
-			if _, ok := en.DistrustAfterFor(p); ok {
-				n++
-			}
-		}
-		e.uvarint(n)
-		for _, en := range entries {
-			if cutoff, ok := en.DistrustAfterFor(p); ok {
-				e.uvarint(uint64(ids[en.Fingerprint]))
-				e.instant(cutoff)
-			}
-		}
+// trimWords drops trailing zero words: the canonical wire form of a plane
+// (bitset.Words's).
+func trimWords(ws []uint64) []uint64 {
+	n := len(ws)
+	for n > 0 && ws[n-1] == 0 {
+		n--
 	}
+	return ws[:n]
 }
 
 // encodeKinds serializes the per-snapshot ecosystem kinds, mirroring the

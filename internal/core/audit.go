@@ -201,7 +201,10 @@ func SplitByPurpose(s *store.Snapshot) map[store.Purpose]*store.Snapshot {
 				continue
 			}
 			ne := e.Clone()
-			ne.Trust = map[store.Purpose]store.TrustLevel{p: store.Trusted}
+			for _, q := range store.AllPurposes {
+				ne.SetTrust(q, store.Unspecified)
+			}
+			ne.SetTrust(p, store.Trusted)
 			if da, ok := e.DistrustAfterFor(p); ok {
 				ne.DistrustAfter = map[store.Purpose]time.Time{p: da}
 			} else {

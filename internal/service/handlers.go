@@ -210,7 +210,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	st := s.cur()
 	s.stampGeneration(w, st)
-	id, ok := st.index.lookupID(fp)
+	i, ok := st.index.find(fp)
 	if !ok {
 		// Distinguish malformed hex from a clean miss.
 		if !isHexFingerprint(fp) {
@@ -223,7 +223,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	if s.conditionalGet(w, r, st) {
 		return
 	}
-	body, err := st.index.body(id)
+	body, err := st.index.body(i)
 	s.writeRendered(w, body, err)
 }
 

@@ -3,10 +3,11 @@ package service
 // This file holds the global root index: a SHA-256-fingerprint →
 // (provider, version) inverted index across every snapshot in the database.
 // It answers the paper's central question — "who trusts this root, for what,
-// and with what caveats?" — in one map lookup instead of scanning 619
-// snapshots' entries per query.
+// and with what caveats?" — from one walk per root and generation instead
+// of scanning every snapshot's entries per query.
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/certutil"
@@ -38,59 +39,99 @@ type RootInfo struct {
 	Providers []string `json:"providers"`
 }
 
-// RootIndex is the inverted index. Fingerprints are resolved through the
-// database's interner to dense uint32 IDs — the same ID space the
-// analysis bitsets use — so the info table is a flat slice instead of a
-// 32-byte-keyed map. It is built once per generation and immutable
-// afterwards, so concurrent readers need no locking; only the rendered
-// bodies fill in later, each behind its own sync.Once.
+// RootIndex is the inverted index, built per root on demand. A root's
+// RootInfo is assembled on its first lookup in the generation by walking
+// the generation's snapshots (binary-search lookups, in AllSnapshots
+// order) and kept beside the root's rendered body; roots nobody asks for
+// cost nothing. The set of fingerprints the generation holds — what Size
+// counts and what a lookup resolves against — is built once, on the first
+// lookup or Size call, not when the generation is installed.
+// Every lazily built part sits behind its own sync.Once, so concurrent
+// readers need no other locking.
 type RootIndex struct {
-	interner *store.Interner
-	infos    []*RootInfo // indexed by interned ID; nil gaps are legal
-	roots    int
-	// bodies holds each root's GET /v1/roots/{fp} body, rendered on the
-	// root's first request: indexed like infos, so only roots of this
-	// database can ever be memoized.
-	bodies []renderedBody
+	db *store.Database
+
+	once  sync.Once
+	snaps []*store.Snapshot            // db.AllSnapshots(): the per-root walk order
+	pos   map[certutil.Fingerprint]int // every root db holds → its slot
+	slots []rootSlot                   // one per root of db, so only those are ever memoized
 }
 
-// BuildIndex walks every snapshot of every provider.
+// rootSlot holds one root's lazily built RootInfo and its GET
+// /v1/roots/{fp} body.
+type rootSlot struct {
+	fp   certutil.Fingerprint
+	once sync.Once
+	info *RootInfo
+	body renderedBody
+}
+
+// BuildIndex returns the root index of db. Nothing is walked until the
+// first lookup or Size call.
 func BuildIndex(db *store.Database) *RootIndex {
-	in := db.Interner()
-	ix := &RootIndex{interner: in, infos: make([]*RootInfo, in.Len())}
-	trustMaps := map[uint64]map[string]string{}
-	for _, snap := range db.AllSnapshots() {
-		for _, e := range snap.Entries() {
-			id := int(in.ID(e.Fingerprint))
-			for id >= len(ix.infos) {
-				ix.infos = append(ix.infos, nil)
-			}
-			info := ix.infos[id]
-			if info == nil {
-				info = &RootInfo{
-					Fingerprint: e.Fingerprint.String(),
-					Label:       e.Label,
-					Subject:     certutil.DisplayName(e.Cert),
-					NotBefore:   e.Cert.NotBefore,
-					NotAfter:    e.Cert.NotAfter,
+	return &RootIndex{db: db}
+}
+
+// load builds the generation's fingerprint set and the per-root slots,
+// once.
+func (ix *RootIndex) load() {
+	ix.once.Do(func() {
+		ix.snaps = ix.db.AllSnapshots()
+		ix.pos = make(map[certutil.Fingerprint]int)
+		var fps []certutil.Fingerprint
+		for _, snap := range ix.snaps {
+			for _, e := range snap.Entries() {
+				if _, ok := ix.pos[e.Fingerprint]; !ok {
+					ix.pos[e.Fingerprint] = len(fps)
+					fps = append(fps, e.Fingerprint)
 				}
-				ix.infos[id] = info
-				ix.roots++
-			}
-			info.Presences = append(info.Presences, presenceOf(snap, e, trustMaps))
-			if n := len(info.Providers); n == 0 || info.Providers[n-1] != snap.Provider {
-				info.Providers = append(info.Providers, snap.Provider)
 			}
 		}
+		ix.slots = make([]rootSlot, len(fps))
+		for i, fp := range fps {
+			ix.slots[i].fp = fp
+		}
+	})
+}
+
+// info returns the RootInfo of the root in slot i, building it on first
+// use.
+func (ix *RootIndex) info(i int) *RootInfo {
+	slot := &ix.slots[i]
+	slot.once.Do(func() { slot.info = ix.build(slot.fp) })
+	return slot.info
+}
+
+// build walks every snapshot of every provider for one root.
+func (ix *RootIndex) build(fp certutil.Fingerprint) *RootInfo {
+	var info *RootInfo
+	trustMaps := map[uint64]map[string]string{}
+	for _, snap := range ix.snaps {
+		e, ok := snap.Lookup(fp)
+		if !ok {
+			continue
+		}
+		if info == nil {
+			info = &RootInfo{
+				Fingerprint: e.Fingerprint.String(),
+				Label:       e.Label,
+				Subject:     certutil.DisplayName(e.Cert),
+				NotBefore:   e.Cert.NotBefore,
+				NotAfter:    e.Cert.NotAfter,
+			}
+		}
+		info.Presences = append(info.Presences, presenceOf(snap, e, trustMaps))
+		if n := len(info.Providers); n == 0 || info.Providers[n-1] != snap.Provider {
+			info.Providers = append(info.Providers, snap.Provider)
+		}
 	}
-	ix.bodies = make([]renderedBody, len(ix.infos))
-	return ix
+	return info
 }
 
 // presenceOf renders one snapshot's view of one entry. Trust maps are
 // shared through trustMaps, keyed by the per-purpose levels: a handful of
-// level combinations covers every presence in the corpus, and presences
-// are read-only once the index is built.
+// level combinations covers every presence of a root, and presences are
+// read-only once built.
 func presenceOf(snap *store.Snapshot, e *store.TrustEntry, trustMaps map[uint64]map[string]string) Presence {
 	p := Presence{Provider: snap.Provider, Version: snap.Version, Date: snap.Date}
 	var levels uint64
@@ -121,31 +162,32 @@ func presenceOf(snap *store.Snapshot, e *store.TrustEntry, trustMaps map[uint64]
 
 // Lookup resolves a hex fingerprint (optionally colon-separated).
 func (ix *RootIndex) Lookup(hexFP string) (*RootInfo, bool) {
-	id, ok := ix.lookupID(hexFP)
+	i, ok := ix.find(hexFP)
 	if !ok {
 		return nil, false
 	}
-	return ix.infos[id], true
+	return ix.info(i), true
 }
 
-// lookupID resolves a hex fingerprint to the interned ID of an indexed
-// root.
-func (ix *RootIndex) lookupID(hexFP string) (uint32, bool) {
+// find resolves a hex fingerprint to the slot of an indexed root. A miss
+// builds nothing for the fingerprint.
+func (ix *RootIndex) find(hexFP string) (int, bool) {
 	fp, err := certutil.ParseFingerprint(hexFP)
 	if err != nil {
 		return 0, false
 	}
-	id, ok := ix.interner.LookupID(fp)
-	if !ok || int(id) >= len(ix.infos) || ix.infos[id] == nil {
-		return 0, false
-	}
-	return id, true
+	ix.load()
+	i, ok := ix.pos[fp]
+	return i, ok
 }
 
-// body returns the GET /v1/roots/{fp} body of the indexed root id.
-func (ix *RootIndex) body(id uint32) ([]byte, error) {
-	return ix.bodies[id].get(func() any { return ix.infos[id] })
+// body returns the GET /v1/roots/{fp} body of the root in slot i.
+func (ix *RootIndex) body(i int) ([]byte, error) {
+	return ix.slots[i].body.get(func() any { return ix.info(i) })
 }
 
 // Size returns the number of distinct roots indexed.
-func (ix *RootIndex) Size() int { return ix.roots }
+func (ix *RootIndex) Size() int {
+	ix.load()
+	return len(ix.slots)
+}

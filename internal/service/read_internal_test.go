@@ -49,8 +49,8 @@ func renderedBodies(st *dbState) int {
 			n++
 		}
 	}
-	for i := range st.index.bodies {
-		if st.index.bodies[i].body != nil {
+	for i := range st.index.slots {
+		if st.index.slots[i].body.body != nil {
 			n++
 		}
 	}

@@ -197,9 +197,9 @@ type Server struct {
 	exempt []string
 }
 
-// New builds a server over the database: indexes every snapshot and wires
-// the routes. The database must not be mutated after being handed over;
-// replace it wholesale with Swap.
+// New builds a server over the database: installs its (lazily built)
+// root index and wires the routes. The database must not be mutated
+// after being handed over; replace it wholesale with Swap.
 func New(db *store.Database, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -231,7 +231,8 @@ func New(db *store.Database, cfg Config) *Server {
 	return s
 }
 
-// install indexes db and publishes it as the current serving state. tag,
+// install publishes db as the current serving state. Its root index is
+// built per root on first read, so nothing here walks the snapshots. tag,
 // when non-empty, pre-seeds the generation's entity tag (the archive
 // content hash the database was decoded from); otherwise the tag is
 // computed lazily on first conditional use.
@@ -253,7 +254,6 @@ func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 	s.state.Store(st)
 	s.metrics.recordReload(db)
 	s.log.Info("index built",
-		"roots", st.index.Size(),
 		"snapshots", db.TotalSnapshots(),
 		"providers", len(db.Providers()),
 		"epoch", epoch,

@@ -27,9 +27,9 @@ type Snapshot struct {
 	// entries is kept in ascending fingerprint order (bytewise, which is
 	// lowercase-hex order) by Add and Remove, so every walk over it —
 	// Entries, diffs, archive encoding, the root index — is already in
-	// canonical order without sorting.
+	// canonical order without sorting, and Lookup binary-searches it, so
+	// a snapshot needs no fingerprint map.
 	entries []*TrustEntry
-	byFP    map[certutil.Fingerprint]*TrustEntry
 
 	// bitsMu guards the memoized trusted bitsets and the attached
 	// interner. The cache is invalidated by Add/Remove and by attachment
@@ -46,7 +46,6 @@ func NewSnapshot(provider, version string, date time.Time) *Snapshot {
 		Provider: provider,
 		Version:  version,
 		Date:     date,
-		byFP:     make(map[certutil.Fingerprint]*TrustEntry),
 	}
 }
 
@@ -58,7 +57,6 @@ func (s *Snapshot) Add(e *TrustEntry) {
 	} else {
 		s.entries = slices.Insert(s.entries, i, e)
 	}
-	s.byFP[e.Fingerprint] = e
 	s.invalidateBits()
 }
 
@@ -70,7 +68,6 @@ func (s *Snapshot) Remove(fp certutil.Fingerprint) bool {
 		return false
 	}
 	s.entries = slices.Delete(s.entries, i, i+1)
-	delete(s.byFP, fp)
 	s.invalidateBits()
 	return true
 }
@@ -85,8 +82,10 @@ func (s *Snapshot) search(fp certutil.Fingerprint) (int, bool) {
 
 // Lookup returns the entry with the fingerprint, if present.
 func (s *Snapshot) Lookup(fp certutil.Fingerprint) (*TrustEntry, bool) {
-	e, ok := s.byFP[fp]
-	return e, ok
+	if i, found := s.search(fp); found {
+		return s.entries[i], true
+	}
+	return nil, false
 }
 
 // EntryByFingerprint looks up an entry by its SHA-256 fingerprint rendered
@@ -238,11 +237,8 @@ func (s *Snapshot) copyWith(copyEntry func(*TrustEntry) *TrustEntry) *Snapshot {
 	c := NewSnapshot(s.Provider, s.Version, s.Date)
 	c.Kind = s.Kind
 	c.entries = make([]*TrustEntry, len(s.entries))
-	c.byFP = make(map[certutil.Fingerprint]*TrustEntry, len(s.entries))
 	for i, e := range s.entries {
-		e = copyEntry(e)
-		c.entries[i] = e
-		c.byFP[e.Fingerprint] = e
+		c.entries[i] = copyEntry(e)
 	}
 	return c
 }

@@ -102,12 +102,14 @@ type TrustEntry struct {
 	// Label is the store's human-readable name for the root (CKA_LABEL,
 	// JKS alias, file name); may be empty.
 	Label string
-	// Trust holds the per-purpose trust level. Missing keys mean
-	// Unspecified.
-	Trust map[Purpose]TrustLevel
+	// trust holds the per-purpose trust level, indexed by purpose: a
+	// fixed array, so an entry costs no allocation beyond itself. It is
+	// read and written only through TrustFor, TrustedFor and SetTrust.
+	trust [numPurposes]TrustLevel
 	// DistrustAfter holds NSS-style partial distrust: certificates issued
 	// by this root after the date are not trusted for the purpose, while
 	// earlier issuance remains trusted (CKA_NSS_SERVER_DISTRUST_AFTER).
+	// It is nil for every entry without a cutoff.
 	DistrustAfter map[Purpose]time.Time
 }
 
@@ -122,7 +124,6 @@ func NewEntry(der []byte) (*TrustEntry, error) {
 		Cert:        cert,
 		Fingerprint: certutil.SHA256Fingerprint(der),
 		Label:       certutil.DisplayName(cert),
-		Trust:       make(map[Purpose]TrustLevel),
 	}, nil
 }
 
@@ -134,20 +135,26 @@ func NewTrustedEntry(der []byte, purposes ...Purpose) (*TrustEntry, error) {
 		return nil, err
 	}
 	for _, p := range purposes {
-		e.Trust[p] = Trusted
+		e.SetTrust(p, Trusted)
 	}
 	return e, nil
 }
 
-// TrustFor returns the trust level for a purpose (Unspecified if absent).
-func (e *TrustEntry) TrustFor(p Purpose) TrustLevel { return e.Trust[p] }
-
-// SetTrust records a trust level for a purpose.
-func (e *TrustEntry) SetTrust(p Purpose, l TrustLevel) {
-	if e.Trust == nil {
-		e.Trust = make(map[Purpose]TrustLevel)
+// TrustFor returns the trust level for a purpose (Unspecified if absent,
+// and for a purpose outside AllPurposes).
+func (e *TrustEntry) TrustFor(p Purpose) TrustLevel {
+	if p >= numPurposes {
+		return Unspecified
 	}
-	e.Trust[p] = l
+	return e.trust[p]
+}
+
+// SetTrust records a trust level for a purpose. A purpose outside
+// AllPurposes has no slot and is ignored.
+func (e *TrustEntry) SetTrust(p Purpose, l TrustLevel) {
+	if p < numPurposes {
+		e.trust[p] = l
+	}
 }
 
 // SetDistrustAfter records a partial-distrust date for a purpose.
@@ -167,7 +174,7 @@ func (e *TrustEntry) DistrustAfterFor(p Purpose) (time.Time, bool) {
 // TrustedFor reports whether the entry is a full trust anchor for the
 // purpose. Partial distrust does not negate anchor status — the root stays
 // in the store and older issuance is still accepted.
-func (e *TrustEntry) TrustedFor(p Purpose) bool { return e.Trust[p] == Trusted }
+func (e *TrustEntry) TrustedFor(p Purpose) bool { return e.TrustFor(p) == Trusted }
 
 // Clone deep-copies the entry (the parsed certificate is shared; it is
 // immutable by convention).
@@ -177,10 +184,7 @@ func (e *TrustEntry) Clone() *TrustEntry {
 		Cert:        e.Cert,
 		Fingerprint: e.Fingerprint,
 		Label:       e.Label,
-		Trust:       make(map[Purpose]TrustLevel, len(e.Trust)),
-	}
-	for p, l := range e.Trust {
-		c.Trust[p] = l
+		trust:       e.trust,
 	}
 	if len(e.DistrustAfter) > 0 {
 		c.DistrustAfter = make(map[Purpose]time.Time, len(e.DistrustAfter))
@@ -195,7 +199,7 @@ func (e *TrustEntry) Clone() *TrustEntry {
 func (e *TrustEntry) String() string {
 	var trusts []string
 	for _, p := range AllPurposes {
-		if l, ok := e.Trust[p]; ok && l != Unspecified {
+		if l := e.trust[p]; l != Unspecified {
 			s := fmt.Sprintf("%s=%s", p, l)
 			if t, ok := e.DistrustAfter[p]; ok {
 				s += fmt.Sprintf("(distrust-after %s)", t.Format("2006-01-02"))

@@ -107,7 +107,6 @@ func (ca *CA) Entry() *store.TrustEntry {
 		Cert:        ca.Root.Cert,
 		Fingerprint: ca.fp,
 		Label:       ca.Name,
-		Trust:       make(map[store.Purpose]store.TrustLevel),
 	}
 }
 

@@ -137,7 +137,7 @@ func TestVanishedSnapshotDirPruned(t *testing.T) {
 	}
 
 	trk.mu.Lock()
-	_, stillSeen := trk.seen["NSS/2020-03-01"]
+	_, stillSeen := trk.seen[dirKey{"NSS", "2020-03-01"}]
 	trk.mu.Unlock()
 	if stillSeen {
 		t.Fatal("vanished directory's stamp not pruned")

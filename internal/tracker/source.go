@@ -35,6 +35,13 @@ type SnapshotDir struct {
 // Key identifies the snapshot directory within its tree.
 func (d SnapshotDir) Key() string { return d.Provider + "/" + d.Version }
 
+// dirKey identifies a snapshot directory in the tracker's maps without
+// building Key's string: a no-change poll then allocates nothing per
+// directory.
+type dirKey struct{ provider, version string }
+
+func (d SnapshotDir) dirKey() dirKey { return dirKey{d.Provider, d.Version} }
+
 // Source enumerates snapshot directories. DirSource polls a local tree;
 // the interface exists so a remote fetcher (rsync mirror, release-archive
 // crawler) can plug into the same tracker later: anything that can

@@ -69,7 +69,7 @@ type Tracker struct {
 	digest *catalog.TreeDigest
 
 	mu       sync.Mutex
-	seen     map[string]stamp // SnapshotDir.Key() → change stamp
+	seen     map[dirKey]stamp // change stamp of every ingested directory
 	db       *store.Database
 	dbHash   [archive.HashLen]byte // archive.HashDatabase(db) when known, else zero
 	removals map[string]*removalRecord
@@ -131,7 +131,7 @@ func New(cfg Config) (*Tracker, error) {
 		cfg:      cfg,
 		log:      l,
 		bus:      NewBus(),
-		seen:     make(map[string]stamp),
+		seen:     make(map[dirKey]stamp),
 		removals: make(map[string]*removalRecord),
 	}
 	t.declareMetrics()
@@ -327,25 +327,21 @@ func (t *Tracker) Rescan() (int, error) {
 	}
 	trace.SetAttr("dirs", strconv.Itoa(len(dirs)))
 
-	present := make(map[string]bool, len(dirs))
-	for _, d := range dirs {
-		present[d.Key()] = true
-	}
-
 	t.mu.Lock()
 	var changed []SnapshotDir
+	known := 0
 	for _, d := range dirs {
-		if st, ok := t.seen[d.Key()]; !ok || st.differs(d) {
+		st, ok := t.seen[d.dirKey()]
+		if ok {
+			known++
+		}
+		if !ok || st.differs(d) {
 			changed = append(changed, d)
 		}
 	}
-	vanished := false
-	for key := range t.seen {
-		if !present[key] {
-			vanished = true
-			break
-		}
-	}
+	// Scanned directories are distinct, so a seen one vanished exactly
+	// when fewer than all of them were scanned.
+	vanished := known < len(t.seen)
 	initial := t.db == nil
 	oldDB := t.db
 	t.mu.Unlock()
@@ -391,9 +387,15 @@ func (t *Tracker) Rescan() (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	for key := range t.seen {
-		if !present[key] {
-			delete(t.seen, key)
+	if vanished {
+		present := make(map[dirKey]bool, len(dirs))
+		for _, d := range dirs {
+			present[d.dirKey()] = true
+		}
+		for key := range t.seen {
+			if !present[key] {
+				delete(t.seen, key)
+			}
 		}
 	}
 
@@ -406,14 +408,14 @@ func (t *Tracker) Rescan() (int, error) {
 			continue
 		}
 		var prev *store.Snapshot
-		if _, wasSeen := t.seen[d.Key()]; wasSeen && oldDB != nil {
+		if _, wasSeen := t.seen[d.dirKey()]; wasSeen && oldDB != nil {
 			// Modified in place: diff against what we served before.
 			prev = snapshotByVersion(oldDB, d.Provider, d.Version)
 		} else {
 			prev = predecessorOf(newDB.History(d.Provider), snap)
 		}
 		ingests = append(ingests, ingest{snap: snap, prev: prev})
-		t.seen[d.Key()] = stamp{mod: d.ModTime, size: d.Size}
+		t.seen[d.dirKey()] = stamp{mod: d.ModTime, size: d.Size}
 	}
 	// Chronological emission across providers keeps the removal ledger's
 	// "first remover" truthful during history replay.
@@ -478,14 +480,14 @@ func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir,
 	if t.digest == nil {
 		t.digest = catalog.NewTreeDigest(t.cfg.Source.Root())
 	}
-	changedKeys := make(map[string]bool, len(changed))
+	changedKeys := make(map[dirKey]bool, len(changed))
 	for _, d := range changed {
-		changedKeys[d.Key()] = true
+		changedKeys[d.dirKey()] = true
 	}
 	newDB := store.NewDatabase()
 	for _, d := range dirs {
 		var snap *store.Snapshot
-		if !changedKeys[d.Key()] && oldDB != nil {
+		if !changedKeys[d.dirKey()] && oldDB != nil {
 			if old := snapshotByVersion(oldDB, d.Provider, d.Version); old != nil {
 				snap = old.ShareClone()
 			}
