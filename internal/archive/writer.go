@@ -6,12 +6,12 @@ package archive
 import (
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/certutil"
@@ -174,29 +174,24 @@ type poolEntry struct {
 // buildPool collects the deduped, fingerprint-sorted cert universe. A
 // certificate's pool index is its ID in the snapshot section.
 func buildPool(db *store.Database) ([]poolEntry, error) {
-	byFP := make(map[certutil.Fingerprint][]byte)
-	for _, snap := range db.AllSnapshots() {
-		for _, e := range snap.Entries() {
-			if _, ok := byFP[e.Fingerprint]; ok {
-				continue
-			}
-			if got := certutil.SHA256Fingerprint(e.DER); got != e.Fingerprint {
-				return nil, fmt.Errorf("archive: entry %s in %s has DER hashing to %s",
-					e.Fingerprint.Short(), snap.Key(), got.Short())
-			}
-			byFP[e.Fingerprint] = e.DER
+	distinct := db.DistinctEntries()
+	pool := make([]poolEntry, len(distinct))
+	for i, e := range distinct {
+		if got := certutil.SHA256Fingerprint(e.DER); got != e.Fingerprint {
+			return nil, fmt.Errorf("archive: entry %s has DER hashing to %s",
+				e.Fingerprint.Short(), got.Short())
 		}
+		pool[i] = poolEntry{fp: e.Fingerprint, der: e.DER}
 	}
-	pool := make([]poolEntry, 0, len(byFP))
-	for fp, der := range byFP {
-		pool = append(pool, poolEntry{fp: fp, der: der})
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].fp.Compare(pool[j].fp) < 0 })
 	return pool, nil
 }
 
 func encodePool(pool []poolEntry) []byte {
-	var e enc
+	size := uvarintLen(len(pool))
+	for _, p := range pool {
+		size += uvarintLen(len(p.der)) + len(p.der)
+	}
+	e := enc{buf: make([]byte, 0, size)}
 	e.uvarint(uint64(len(pool)))
 	for _, p := range pool {
 		e.blob(p.der)
@@ -205,7 +200,7 @@ func encodePool(pool []poolEntry) []byte {
 }
 
 func encodeFingerprints(pool []poolEntry) []byte {
-	var e enc
+	e := enc{buf: make([]byte, 0, uvarintLen(len(pool))+len(pool)*len(certutil.Fingerprint{}))}
 	e.uvarint(uint64(len(pool)))
 	for _, p := range pool {
 		e.buf = append(e.buf, p.fp[:]...)
@@ -214,9 +209,9 @@ func encodeFingerprints(pool []poolEntry) []byte {
 }
 
 func encodeSnapshots(db *store.Database, pool []poolEntry) []byte {
-	var e enc
-	sc := newSnapshotScratch(len(pool))
 	providers := db.Providers()
+	e := enc{buf: make([]byte, 0, snapshotsSize(db, providers, len(pool)))}
+	sc := newSnapshotScratch(len(pool))
 	e.uvarint(uint64(len(providers)))
 	for _, name := range providers {
 		snaps := db.History(name).Snapshots()
@@ -227,6 +222,39 @@ func encodeSnapshots(db *store.Database, pool []poolEntry) []byte {
 		}
 	}
 	return e.buf
+}
+
+// snapshotsSize bounds the snapshot section's length from above, so
+// encodeSnapshots writes into one buffer that never grows: labels dominate
+// the section and are counted exactly; planes count every word before
+// trailing zeros are trimmed, and each cutoff at its widest.
+func snapshotsSize(db *store.Database, providers []string, poolLen int) int {
+	const maxVarint, instant = binary.MaxVarintLen64, 12
+	planes := 1 + len(store.AllPurposes)*len(trustPlanes)
+	wordsLen := maxVarint + 8*((poolLen+63)/64)
+	size := maxVarint
+	for _, name := range providers {
+		snaps := db.History(name).Snapshots()
+		size += uvarintLen(len(name)) + len(name) + maxVarint
+		for _, snap := range snaps {
+			size += uvarintLen(len(snap.Version)) + len(snap.Version) + instant +
+				planes*wordsLen + maxVarint + len(store.AllPurposes)*maxVarint
+			snap.Each(func(en *store.TrustEntry) {
+				size += uvarintLen(len(en.Label)) + len(en.Label) +
+					len(en.DistrustAfter)*(uvarintLen(poolLen)+instant)
+			})
+		}
+	}
+	return size
+}
+
+// uvarintLen is the encoded length of n as an unsigned varint.
+func uvarintLen(n int) int {
+	size := 1
+	for x := uint64(n); x >= 0x80; x >>= 7 {
+		size++
+	}
+	return size
 }
 
 // snapshotScratch is the per-snapshot working set encodeSnapshot reuses
@@ -273,9 +301,8 @@ func encodeSnapshot(e *enc, snap *store.Snapshot, pool []poolEntry, sc *snapshot
 	// in that same order, so one merge walk assigns every entry its pool
 	// ID, ascending — labels, plane bits and cutoffs all line up by
 	// construction. The pool holds every entry's fingerprint.
-	entries := snap.Entries()
 	id := 0
-	for _, en := range entries {
+	snap.Each(func(en *store.TrustEntry) {
 		for pool[id].fp != en.Fingerprint {
 			id++
 		}
@@ -292,13 +319,11 @@ func encodeSnapshot(e *enc, snap *store.Snapshot, pool []poolEntry, sc *snapshot
 				sc.cutoffs[pi] = append(sc.cutoffs[pi], cutoff{id: uint32(id), at: at})
 			}
 		}
-	}
+	})
 
 	e.words(trimWords(sc.member))
-	e.uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		e.str(en.Label)
-	}
+	e.uvarint(uint64(snap.Len()))
+	snap.Each(func(en *store.TrustEntry) { e.str(en.Label) })
 	for _, plane := range sc.planes {
 		e.words(trimWords(plane))
 	}

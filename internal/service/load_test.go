@@ -99,7 +99,13 @@ func TestVerifyConcurrentLoad(t *testing.T) {
 	if metric(inner, "trustd_cache_events_total", "verdict", "hit") == 0 {
 		t.Error("no verdict cache hits under concurrent load")
 	}
+	// Single-store misses run their snapshot's cached verifier; the
+	// two-store and all-store misses build the chain once for all their
+	// stores against the generation's shared pool.
 	if metric(inner, "trustd_cache_events_total", "verifier", "hit") == 0 {
 		t.Error("no verifier cache hits under concurrent load")
+	}
+	if metric(inner, "trustd_verify_chain_builds_total", "shared") == 0 {
+		t.Error("no shared chain builds under concurrent load")
 	}
 }

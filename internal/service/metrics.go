@@ -27,6 +27,8 @@ type Metrics struct {
 	outcomes *obs.CounterVec
 
 	verdictHit, verdictMiss, verifierHit, verifierMiss *obs.CounterVar
+	sharedBuilds, perStoreBuilds                       *obs.CounterVar
+	poolBuild                                          *obs.GaugeVar
 
 	inFlight, batchQueue, watchers           *obs.GaugeVar
 	verified, rejected, errors, reloads      *obs.CounterVar
@@ -58,6 +60,9 @@ func newMetrics(s *Server) *Metrics {
 	cache := r.CounterVec(ns+"cache_events_total", "Cache lookups by cache and result.", "cache", "result")
 	m.verdictHit, m.verdictMiss = cache.With("verdict", "hit"), cache.With("verdict", "miss")
 	m.verifierHit, m.verifierMiss = cache.With("verifier", "hit"), cache.With("verifier", "miss")
+	builds := r.CounterVec(ns+"verify_chain_builds_total", "x509 chain builds on verdict-cache misses by path: shared (one per chain and instant, judged by every store) or per_store.", "path")
+	m.sharedBuilds, m.perStoreBuilds = builds.With("shared"), builds.With("per_store")
+	m.poolBuild = r.Gauge(ns+"verify_pool_build_seconds", "Wall time of the latest shared verify pool build (one per generation, on first use).")
 	m.inFlight = r.Gauge(ns+"in_flight_requests", "Requests currently being served.")
 	m.verified = r.Counter(ns+"verdicts_total", "Per-store verdicts computed, including cache hits.")
 	m.batches = r.Counter(ns+"batches_total", "Batch verify requests started.")

@@ -22,7 +22,9 @@
 //   - POST /v1/verify and POST /v1/verify/batch share one verify core
 //     (verify.go): a single verify is a batch of one. Cold verifications
 //     run under a bounded worker semaphore and honour per-request context
-//     timeouts.
+//     timeouts. A request's misses at one instant build the chain once
+//     against a per-generation pool of every certificate and judge it per
+//     store.
 //   - GET /v1/events replays the tracker's change-event log and
 //     /v1/events/watch streams it live (SSE) when a tracker is attached.
 package service
@@ -43,6 +45,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simulate"
 	"repro/internal/store"
+	"repro/internal/verify"
 )
 
 // defaultWorkers sizes the verify semaphore: chain verification is CPU-bound
@@ -164,6 +167,13 @@ type dbState struct {
 	sweepOnce sync.Once
 	sweepRes  *simulate.SweepResult
 	sweepDur  time.Duration
+
+	// verifyPoolOnce guards pool: every distinct certificate of db in one
+	// x509 pool, which a verify builds a chain against once for all its
+	// stores at one instant (verify.go). It is built on the first verify
+	// miss that needs it, never in install, and dies with the generation.
+	verifyPoolOnce sync.Once
+	pool           *verify.Pool
 
 	// The read bodies are pure functions of db as well: GET /v1/providers
 	// and each provider's snapshot list (by position in the sorted
@@ -305,6 +315,23 @@ func (s *Server) SwapArchive(db *store.Database, contentHash [archive.HashLen]by
 	}
 	s.install(db, hashTag(contentHash), epoch)
 	s.metrics.reloads.Inc()
+}
+
+// verifyPool returns the generation's shared verify pool, building it on
+// first use: one walk over the snapshots' entries (deduped by interned ID,
+// copying no entry list) and one AddCert per distinct certificate, in
+// fingerprint order. The build time is the trustd_verify_pool_build_seconds
+// gauge.
+func (st *dbState) verifyPool(s *Server) *verify.Pool {
+	st.verifyPoolOnce.Do(func() {
+		start := time.Now()
+		st.pool = verify.NewPool(st.db.DistinctEntries())
+		elapsed := time.Since(start)
+		s.metrics.poolBuild.Set(elapsed.Seconds())
+		s.log.Info("verify pool built", "certificates", st.pool.Len(), "epoch", st.epoch,
+			"elapsed", elapsed.Round(time.Microsecond))
+	})
+	return st.pool
 }
 
 // cur returns the current serving generation.

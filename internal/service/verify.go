@@ -11,8 +11,13 @@ package service
 //     JSON fragments of each; a batch resolves each distinct tuple once;
 //   - chain: DER views and a SHA-256 over the raw DER, the chain's
 //     verdict-cache identity — x509 parsing waits for a cache miss;
-//   - verdict: cache lookup, else one cold verification under the shared
-//     -workers semaphore, then a cache put.
+//   - verdict: a cache lookup per store first; the misses are parsed once
+//     and grouped by verification instant. A group of two or more stores
+//     builds the chain once against the generation's pool of every
+//     certificate (verify.Pool) and each store judges the returned chains;
+//     a group of one, and any store the shared build cannot decide, is
+//     verified against its own snapshot. Each group takes one slot of the
+//     shared -workers semaphore; verdicts go back into the cache.
 //
 // The response object renders from pre-rendered fragments, so both routes
 // emit the same bytes; a batch line adds a leading "seq". Errors carry the
@@ -121,9 +126,19 @@ type verifyScratch struct {
 	ders     [][]byte // per-certificate views
 	certs    []*x509.Certificate
 	inter    *x509.CertPool
+	rows     []verdictRow // one per route snapshot, in route order
+	group    []int        // rows verified together (one instant)
 	hasher   hash.Hash
 	sum      []byte
 	hexBuf   [2 * sha256.Size]byte
+}
+
+// verdictRow is one route snapshot's verdict while a line is verified.
+type verdictRow struct {
+	v    verdict
+	hit  bool   // served from the verdict cache
+	todo bool   // a miss not yet verified
+	key  string // a miss's verdict-cache key, for the put
 }
 
 func newVerifyScratch() any {
@@ -183,15 +198,17 @@ func (b *verifyRun) verifyLine(sc *verifyScratch, line []byte, seq int, out []by
 		out = append(out, ',')
 		out = append(out, rt.uaJSON...)
 	}
+	if err := b.verdicts(sc, rt, purpose); err != nil {
+		return b.appendError(out, seq, rt.uaJSON, err.Error()), http.StatusBadRequest
+	}
 	out = append(out, `,"verdicts":[`...)
 	for i := range rt.snaps {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		var err error
-		if out, err = b.appendVerdict(out, sc, &rt.snaps[i], purpose); err != nil {
-			return b.appendError(out, seq, rt.uaJSON, err.Error()), http.StatusBadRequest
-		}
+		row := &sc.rows[i]
+		b.countVerdict(row.v.Outcome, row.hit)
+		out = appendVerdictJSON(out, rt.snaps[i].pre, &row.v, row.hit)
 	}
 	return append(out, ']', '}', '\n'), http.StatusOK
 }
@@ -275,13 +292,58 @@ func (sc *verifyScratch) decodeChain() error {
 	return nil
 }
 
-// appendVerdict renders one store's verdict on the decoded chain into out.
-// A verdict-cache hit is a lookup and nothing more. A miss parses the
-// chain (once per request), verifies it under a shared -workers slot
-// inside one verify.store span, and caches the verdict; if the context
-// dies while waiting for the slot the row reads "timeout". The error is
-// the chain's x509 parse failure.
-func (b *verifyRun) appendVerdict(out []byte, sc *verifyScratch, sk *routeSnap, purpose store.Purpose) ([]byte, error) {
+// verdicts fills sc.rows with every route snapshot's verdict on the
+// decoded chain. A verdict-cache hit is a lookup and nothing more. The
+// misses parse the chain (once per request) and are verified in groups
+// of one instant (verifyGroup). The error is the chain's x509 parse
+// failure.
+func (b *verifyRun) verdicts(sc *verifyScratch, rt *verifyRoute, purpose store.Purpose) error {
+	sc.rows = sc.rows[:0]
+	misses := 0
+	for i := range rt.snaps {
+		key := sc.verdictKey(&rt.snaps[i], purpose)
+		v, hit := b.st.verdicts.get(key)
+		row := verdictRow{v: v, hit: hit}
+		if !hit {
+			row.todo, row.key = true, string(key)
+			misses++
+		}
+		sc.rows = append(sc.rows, row)
+	}
+	if misses == 0 {
+		return nil
+	}
+	if len(sc.certs) == 0 {
+		for i, der := range sc.ders {
+			cert, err := x509.ParseCertificate(der)
+			if err != nil {
+				return fmt.Errorf("certificate %d in chain: %v", i, err)
+			}
+			sc.certs = append(sc.certs, cert)
+		}
+		sc.inter = verify.PoolIntermediates(sc.certs[1:])
+	}
+	for i := range sc.rows {
+		if !sc.rows[i].todo {
+			continue
+		}
+		at := rt.snaps[i].at
+		sc.group = sc.group[:0]
+		for j := i; j < len(sc.rows); j++ {
+			if sj := rt.snaps[j].at; sc.rows[j].todo && sj.Equal(at) && sj.Location() == at.Location() {
+				sc.rows[j].todo = false
+				sc.group = append(sc.group, j)
+			}
+		}
+		b.verifyGroup(sc, rt, purpose)
+	}
+	return nil
+}
+
+// verdictKey renders the verdict-cache key of the chain against one route
+// snapshot into scratch: (chain hash, snapshot, purpose, DNS name,
+// instant).
+func (sc *verifyScratch) verdictKey(sk *routeSnap, purpose store.Purpose) []byte {
 	key := append(sc.keyBuf[:0], sc.hexBuf[:]...)
 	key = append(key, '|')
 	key = append(key, sk.key...)
@@ -292,40 +354,81 @@ func (b *verifyRun) appendVerdict(out []byte, sc *verifyScratch, sk *routeSnap, 
 	key = append(key, '|')
 	key = append(key, sk.atRFC...)
 	sc.keyBuf = key
+	return key
+}
 
-	if v, ok := b.st.verdicts.get(key); ok {
-		b.countVerdict(v.Outcome, true)
-		return appendVerdictJSON(out, sk.pre, &v, true), nil
+// verifyGroup verifies the chain against the snapshots of sc.group, which
+// share one verification instant, under one -workers slot, and caches
+// each verdict. Two or more stores build the chain once against the
+// generation's shared pool inside a verify.chain span and judge it per
+// store; a lone store, and any store the shared build cannot decide, runs
+// its own snapshot's verifier. Each store gets a verify.store span. If the
+// context dies while waiting for the slot every row reads "timeout".
+func (b *verifyRun) verifyGroup(sc *verifyScratch, rt *verifyRoute, purpose store.Purpose) {
+	depth := strconv.Itoa(len(sc.certs))
+	storeSpan := func(sk *routeSnap) *obs.Span {
+		span := obs.StartLeafSpan(b.ctx, "verify.store")
+		span.Annotate("store", sk.key)
+		span.Annotate("chain_depth", depth)
+		return span
 	}
-	if len(sc.certs) == 0 {
-		for i, der := range sc.ders {
-			cert, err := x509.ParseCertificate(der)
-			if err != nil {
-				return out, fmt.Errorf("certificate %d in chain: %v", i, err)
-			}
-			sc.certs = append(sc.certs, cert)
-		}
-		sc.inter = verify.PoolIntermediates(sc.certs[1:])
+	// The span around the slot wait opens first, so queue wait is part of
+	// it. Annotate (bounded, drop-not-grow) keeps span records small.
+	var wait *obs.Span
+	if len(sc.group) > 1 {
+		wait = obs.StartLeafSpan(b.ctx, "verify.chain")
+		wait.Annotate("stores", strconv.Itoa(len(sc.group)))
+		wait.Annotate("chain_depth", depth)
+	} else {
+		wait = storeSpan(&rt.snaps[sc.group[0]])
 	}
-
-	// The span opens before the slot is acquired, so queue wait is part
-	// of it. Annotate (bounded, drop-not-grow) keeps span records small.
-	span := obs.StartLeafSpan(b.ctx, "verify.store")
-	span.Annotate("store", sk.key)
-	span.Annotate("chain_depth", strconv.Itoa(len(sc.certs)))
-	v := verdict{Outcome: "timeout"}
 	select {
 	case b.s.sem <- struct{}{}:
-		res := b.st.verifiers.get(sk.snap).Verify(verify.Request{
-			Leaf:          sc.certs[0],
-			Intermediates: sc.certs[1:],
-			InterPool:     sc.inter,
-			Purpose:       purpose,
-			DNSName:       string(sc.f.dnsName),
-			At:            sk.at,
-		})
-		<-b.s.sem
-		v.Outcome = res.Outcome.String()
+	case <-b.ctx.Done():
+		v := verdict{Outcome: "timeout", Error: b.ctx.Err().Error()}
+		for _, i := range sc.group {
+			sc.rows[i].v = v
+		}
+		wait.Annotate("outcome", v.Outcome)
+		wait.End()
+		return
+	}
+	defer func() { <-b.s.sem }()
+
+	req := verify.Request{
+		Leaf:          sc.certs[0],
+		Intermediates: sc.certs[1:],
+		InterPool:     sc.inter,
+		Purpose:       purpose,
+		DNSName:       string(sc.f.dnsName),
+		At:            rt.snaps[sc.group[0]].at,
+	}
+	var shared *verify.Chains
+	if len(sc.group) > 1 {
+		if shared = b.st.verifyPool(b.s).Build(req); shared != nil {
+			b.s.metrics.sharedBuilds.Inc()
+			wait.Annotate("chains", strconv.Itoa(shared.Len()))
+		} else {
+			wait.Annotate("chains", "per-store")
+		}
+		wait.End()
+	}
+	for _, i := range sc.group {
+		sk := &rt.snaps[i]
+		span := wait
+		if len(sc.group) > 1 {
+			span = storeSpan(sk)
+		}
+		var res verify.Result
+		ok := false
+		if shared != nil {
+			res, ok = shared.Judge(sk.snap, purpose)
+		}
+		if !ok {
+			b.s.metrics.perStoreBuilds.Inc()
+			res = b.st.verifiers.get(sk.snap).Verify(req)
+		}
+		v := verdict{Outcome: res.Outcome.String()}
 		if res.Anchor != nil {
 			v.Anchor = res.Anchor.Fingerprint.String()
 			v.AnchorLabel = res.Anchor.Label
@@ -333,14 +436,11 @@ func (b *verifyRun) appendVerdict(out []byte, sc *verifyScratch, sk *routeSnap, 
 		if res.Err != nil {
 			v.Error = res.Err.Error()
 		}
-		b.st.verdicts.put(string(key), v)
-	case <-b.ctx.Done():
-		v.Error = b.ctx.Err().Error()
+		sc.rows[i].v = v
+		b.st.verdicts.put(sc.rows[i].key, v)
+		span.Annotate("outcome", v.Outcome)
+		span.End()
 	}
-	span.Annotate("outcome", v.Outcome)
-	span.End()
-	b.countVerdict(v.Outcome, false)
-	return appendVerdictJSON(out, sk.pre, &v, false), nil
 }
 
 // countVerdict records one emitted verdict: a few atomic adds, the

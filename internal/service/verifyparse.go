@@ -12,9 +12,13 @@ package service
 //
 // Correctness never depends on this parser: fastParseLine answers false for
 // ANYTHING outside the plain shape — unknown keys, nested values, escape
-// sequences in short strings, trailing data — and the caller falls back to
-// encoding/json, which remains the arbiter of validity and of error
-// messages.
+// sequences in short strings, control or non-ASCII bytes in strings,
+// trailing data — and the caller falls back to encoding/json, which
+// remains the arbiter of validity and of error messages. FuzzVerifyLine
+// holds it to that: whatever it accepts, encoding/json accepts and
+// decodes to the same fields.
+
+import "unicode/utf8"
 
 // lineFields is the decoded form of one request. All slices point into
 // scratch-owned memory (the line buffer or scratch); nothing escapes a
@@ -34,6 +38,12 @@ func (f *lineFields) reset() {
 	f.chainDER = f.chainDER[:0]
 	f.stores = f.stores[:0]
 }
+
+// plainByte reports whether c may stand for itself inside a string the
+// fast path accepts: printable ASCII. encoding/json rejects raw control
+// characters and replaces invalid UTF-8, so those (and, for simplicity,
+// all non-ASCII) are left to it.
+func plainByte(c byte) bool { return c >= 0x20 && c < utf8.RuneSelf }
 
 func jsonSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
@@ -122,10 +132,10 @@ func readPlainString(b []byte, i int) (s []byte, next int, ok bool) {
 	}
 	start := i + 1
 	for j := start; j < len(b); j++ {
-		switch b[j] {
-		case '"':
+		switch c := b[j]; {
+		case c == '"':
 			return b[start:j], j + 1, true
-		case '\\':
+		case c == '\\' || !plainByte(c):
 			return nil, i, false
 		}
 	}
@@ -142,6 +152,9 @@ func readString(b []byte, i int, buf *[]byte) (s []byte, next int, ok bool) {
 	start := i + 1
 	j := start
 	for j < len(b) && b[j] != '"' && b[j] != '\\' {
+		if !plainByte(b[j]) {
+			return nil, i, false
+		}
 		j++
 	}
 	if j >= len(b) {
@@ -179,6 +192,9 @@ func readString(b []byte, i int, buf *[]byte) (s []byte, next int, ok bool) {
 		default:
 			k := j
 			for k < len(b) && b[k] != '"' && b[k] != '\\' {
+				if !plainByte(b[k]) {
+					return nil, i, false
+				}
 				k++
 			}
 			out = append(out, b[j:k]...)

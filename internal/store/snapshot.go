@@ -109,6 +109,16 @@ func (s *Snapshot) Entries() []*TrustEntry {
 	return slices.Clone(s.entries)
 }
 
+// Each calls f with every entry in fingerprint order, without copying the
+// entry list — the walk for callers that visit every entry of many
+// snapshots (archive encoding, the serving layer's verify pool). f must
+// not modify the snapshot.
+func (s *Snapshot) Each(f func(*TrustEntry)) {
+	for _, e := range s.entries {
+		f(e)
+	}
+}
+
 // TrustedSet returns the fingerprints trusted for the purpose, the set the
 // similarity analyses operate on.
 func (s *Snapshot) TrustedSet(p Purpose) map[certutil.Fingerprint]bool {
@@ -421,6 +431,41 @@ func (db *Database) AllSnapshots() []*Snapshot {
 	for _, p := range db.Providers() {
 		out = append(out, db.histories[p].Snapshots()...)
 	}
+	return out
+}
+
+// DistinctEntries returns one entry per distinct certificate the database
+// holds, sorted by fingerprint: the first entry met walking the snapshots
+// in AllSnapshots order. The walk copies no entry list and dedupes by
+// interned ID under the interner's read lock: one map lookup per
+// (snapshot, root) pair, then a sort of the distinct certificates.
+func (db *Database) DistinctEntries() []*TrustEntry {
+	in := db.interner
+	var out []*TrustEntry
+	in.mu.RLock()
+	seen := make([]bool, len(in.fps))
+	visit := func(e *TrustEntry) {
+		id, ok := in.ids[e.Fingerprint]
+		if !ok {
+			// Not interned yet: intern it (once per distinct
+			// certificate, so the lock dance stays off the common path).
+			in.mu.RUnlock()
+			id = in.ID(e.Fingerprint)
+			in.mu.RLock()
+			seen = append(seen, make([]bool, len(in.fps)-len(seen))...)
+		}
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, e)
+		}
+	}
+	for _, p := range db.Providers() {
+		for _, s := range db.histories[p].snapshots {
+			s.Each(visit)
+		}
+	}
+	in.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *TrustEntry) int { return a.Fingerprint.Compare(b.Fingerprint) })
 	return out
 }
 

@@ -459,3 +459,62 @@ func TestSetDiff(t *testing.T) {
 		t.Fatalf("SetDiff = %d/%d/%d", len(onlyA), len(onlyB), len(both))
 	}
 }
+
+// TestDatabaseDistinctEntries checks the distinct-certificate walk: one
+// entry per fingerprint, sorted, the first met in AllSnapshots order,
+// including entries added after their snapshot was filed (not yet
+// interned), and Each visiting a snapshot's entries in order.
+func TestDatabaseDistinctEntries(t *testing.T) {
+	rs := roots(t, 6)
+	db := NewDatabase()
+	a := NewSnapshot("Alpha", "1", date(2020, 1, 1))
+	b := NewSnapshot("Beta", "1", date(2020, 1, 1))
+	firstOf := map[int]*TrustEntry{}
+	for i := 0; i < 4; i++ {
+		e := entry(t, rs[i], ServerAuth)
+		firstOf[i] = e // Alpha sorts first, so its entries are met first
+		a.Add(e)
+		b.Add(entry(t, rs[i+1], EmailProtection))
+	}
+	for _, s := range []*Snapshot{a, b} {
+		if err := db.AddSnapshot(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := entry(t, rs[5], ServerAuth)
+	b.Add(late) // after filing: its fingerprint is not interned yet
+	firstOf[5] = late
+
+	got := db.DistinctEntries()
+	if len(got) != 6 {
+		t.Fatalf("%d distinct entries, want 6", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Fingerprint.Compare(got[i].Fingerprint) >= 0 {
+			t.Fatalf("entries not strictly sorted at %d", i)
+		}
+	}
+	for i, want := range firstOf {
+		found := false
+		for _, g := range got {
+			if g.Fingerprint == want.Fingerprint {
+				found = g == want
+			}
+		}
+		if !found {
+			t.Errorf("root %d: distinct entry is not the first met", i)
+		}
+	}
+
+	var walked []*TrustEntry
+	b.Each(func(e *TrustEntry) { walked = append(walked, e) })
+	if want := b.Entries(); len(walked) != len(want) {
+		t.Fatalf("Each visited %d entries, want %d", len(walked), len(want))
+	} else {
+		for i := range want {
+			if walked[i] != want[i] {
+				t.Fatalf("Each order differs at %d", i)
+			}
+		}
+	}
+}

@@ -173,54 +173,81 @@ func (v *Verifier) Verify(req Request) Result {
 	// Chain against every certificate in the store — including ones not
 	// trusted for the purpose — so we can distinguish "no chain at all"
 	// from "chain to an untrusted anchor".
-	allPool := v.allPool()
-	inter := req.InterPool
-	if inter == nil {
-		inter = x509.NewCertPool()
-		for _, c := range req.Intermediates {
-			inter.AddCert(c)
-		}
-	}
-
-	eku := []x509.ExtKeyUsage{x509.ExtKeyUsageAny}
 	chains, err := req.Leaf.Verify(x509.VerifyOptions{
-		Roots:         allPool,
-		Intermediates: inter,
+		Roots:         v.allPool(),
+		Intermediates: req.interPool(),
 		DNSName:       req.DNSName,
 		CurrentTime:   at,
-		KeyUsages:     eku,
+		KeyUsages:     anyUsage,
 	})
 	if err != nil {
-		var invalid x509.CertificateInvalidError
-		if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
-			return Result{Outcome: Expired, Err: err}
-		}
-		return Result{Outcome: NoAnchor, Err: err}
+		return failed(err)
 	}
+	var buf [4]certutil.Fingerprint
+	res, _ := judge(v.snapshot, rootsOf(buf[:0], chains), req.Leaf, req.Purpose)
+	return res
+}
 
-	// Evaluate every candidate chain; accept if any terminates at an
-	// anchor trusted for the purpose and not partially distrusted for
-	// this leaf.
-	var best Result
-	best.Outcome = NoAnchor
+// interPool returns the request's intermediates pool: the caller-built
+// InterPool, else one built from Intermediates.
+func (req *Request) interPool() *x509.CertPool {
+	if req.InterPool != nil {
+		return req.InterPool
+	}
+	return PoolIntermediates(req.Intermediates)
+}
+
+// rootsOf appends the root fingerprint of each chain to dst, in order.
+func rootsOf(dst []certutil.Fingerprint, chains [][]*x509.Certificate) []certutil.Fingerprint {
 	for _, chain := range chains {
-		root := chain[len(chain)-1]
-		entry, ok := v.snapshot.Lookup(certutil.SHA256Fingerprint(root.Raw))
+		dst = append(dst, certutil.SHA256Fingerprint(chain[len(chain)-1].Raw))
+	}
+	return dst
+}
+
+// anyUsage is the key-usage set every build passes: x509 then returns its
+// candidate chains without usage or policy filtering, so trust purposes
+// are decided by the store alone.
+var anyUsage = []x509.ExtKeyUsage{x509.ExtKeyUsageAny}
+
+// failed maps a failed x509 build to its result: Expired when x509
+// reports a certificate outside its validity window (the leaf, or the
+// last candidate its chain search tried), NoAnchor otherwise.
+func failed(err error) Result {
+	var invalid x509.CertificateInvalidError
+	if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
+		return Result{Outcome: Expired, Err: err}
+	}
+	return Result{Outcome: NoAnchor, Err: err}
+}
+
+// judge is the trust evaluation behind every verdict, per-snapshot or
+// shared. roots holds the root fingerprint of each chain x509 returned,
+// in x509's order. A chain whose root snap does not hold is skipped; of
+// the rest, the first ending at an anchor trusted for the purpose and not
+// partially distrusted for the leaf is accepted, else the most
+// informative failure is kept. reached reports whether any chain ended at
+// a root snap holds.
+func judge(snap *store.Snapshot, roots []certutil.Fingerprint, leaf *x509.Certificate, p store.Purpose) (res Result, reached bool) {
+	best := Result{Outcome: NoAnchor}
+	for _, fp := range roots {
+		entry, ok := snap.Lookup(fp)
 		if !ok {
 			continue
 		}
-		switch entry.TrustFor(req.Purpose) {
+		reached = true
+		switch entry.TrustFor(p) {
 		case store.Trusted:
-			if cutoff, has := entry.DistrustAfterFor(req.Purpose); has && req.Leaf.NotBefore.After(cutoff) {
+			if cutoff, has := entry.DistrustAfterFor(p); has && leaf.NotBefore.After(cutoff) {
 				best = better(best, Result{Outcome: AnchorPartialDistrust, Anchor: entry})
 				continue
 			}
-			return Result{Outcome: OK, Anchor: entry}
+			return Result{Outcome: OK, Anchor: entry}, true
 		default:
 			best = better(best, Result{Outcome: AnchorNotTrusted, Anchor: entry})
 		}
 	}
-	return best
+	return best, reached
 }
 
 // better keeps the most informative failure: partial distrust beats
