@@ -8,7 +8,6 @@
 //
 //	rootwatch -tree DIR [-interval 2s] [-once] [-replay] [-min-severity info]
 //	          [-jsonl FILE] [-table4]
-//	rootwatch -smoke
 //
 // The tree uses the module's shared snapshot layout (see
 // internal/catalog): <root>/<provider>/<version>/<store files>, the same
@@ -22,9 +21,7 @@
 //
 // -once ingests, optionally replays, prints the responsiveness table and
 // exits (cron-friendly). -jsonl makes the event log durable and resumable
-// across runs. -smoke self-tests the pipeline against generated
-// certificates and exits non-zero unless a removal event with a severity
-// tag comes out the far end — CI runs it as a hermetic end-to-end check.
+// across runs.
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"syscall"
 	"text/tabwriter"
@@ -43,9 +39,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
-	"repro/internal/pemstore"
-	"repro/internal/store"
-	"repro/internal/testcerts"
 	"repro/internal/tracker"
 )
 
@@ -59,16 +52,12 @@ func main() {
 	jsonl := flag.String("jsonl", "", "persist events to this JSONL file (resumes sequence across runs)")
 	archivePath := flag.String("archive", "", "rootpack sidecar location for fast cold starts (default <tree>/.rootpack)")
 	table4 := flag.Bool("table4", true, "print the removal-responsiveness table on exit")
-	smoke := flag.Bool("smoke", false, "run a hermetic self-test and exit (0 = event pipeline works)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /debug/traces on this private address (off when empty)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *smoke {
-		os.Exit(runSmoke(logger))
-	}
 	if *tree == "" {
-		fmt.Fprintln(os.Stderr, "rootwatch: -tree is required (or -smoke); see -h")
+		fmt.Fprintln(os.Stderr, "rootwatch: -tree is required; see -h")
 		os.Exit(2)
 	}
 	floor, err := tracker.ParseSeverity(*minSeverity)
@@ -205,80 +194,4 @@ func printResponsiveness(rows []tracker.RemovalRow) {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", name, row.FirstProvider, row.FirstDate.Format("2006-01-02"), followers)
 	}
 	w.Flush()
-}
-
-// runSmoke is the hermetic self-test: build a tiny two-provider tree from
-// generated certificates, ingest it, apply a removal, and demand the
-// pipeline produce a severity-tagged removal event plus a responsiveness
-// row. Exit status is the verdict.
-func runSmoke(logger *slog.Logger) int {
-	root, err := os.MkdirTemp("", "rootwatch-smoke-*")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: %v\n", err)
-		return 1
-	}
-	defer os.RemoveAll(root)
-
-	entries := testcerts.Entries(3, store.ServerAuth)
-	write := func(provider, version string, es []*store.TrustEntry) error {
-		dir := filepath.Join(root, provider, version)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(dir, "tls-ca-bundle.pem"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return pemstore.WriteBundle(f, es)
-	}
-	if err := write("NSS", "2020-01-01", entries); err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: seed tree: %v\n", err)
-		return 1
-	}
-	if err := write("Debian", "2020-01-01", entries); err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: seed tree: %v\n", err)
-		return 1
-	}
-
-	src := tracker.NewDirSource(root, 0)
-	defer src.Close()
-	trk, err := tracker.New(tracker.Config{Source: src, Logger: logger})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: %v\n", err)
-		return 1
-	}
-	if _, err := trk.Rescan(); err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: initial ingest: %v\n", err)
-		return 1
-	}
-
-	// NSS pulls the first root; Debian still trusts it → high severity.
-	if err := write("NSS", "2020-03-01", entries[1:]); err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: removal snapshot: %v\n", err)
-		return 1
-	}
-	if _, err := trk.Rescan(); err != nil {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: rescan: %v\n", err)
-		return 1
-	}
-
-	removals := trk.Replay(tracker.Filter{Type: tracker.RootRemoved})
-	if len(removals) != 1 {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: FAIL: %d removal events, want 1\n", len(removals))
-		return 1
-	}
-	rm := removals[0]
-	if rm.Severity != tracker.SeverityHigh {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: FAIL: removal severity %s, want high\n", rm.Severity)
-		return 1
-	}
-	if rows := trk.Responsiveness(); len(rows) != 1 {
-		fmt.Fprintf(os.Stderr, "rootwatch: smoke: FAIL: %d responsiveness rows, want 1\n", len(rows))
-		return 1
-	}
-	fmt.Println(rm)
-	printResponsiveness(trk.Responsiveness())
-	fmt.Println("rootwatch smoke: OK")
-	return 0
 }

@@ -364,13 +364,20 @@ func LoadTreeCtx(ctx context.Context, root string, opts Options) (*store.Databas
 }
 
 func dateForVersion(dir, version string) time.Time {
+	fi, _ := os.Stat(dir)
+	return versionDate(version, fi)
+}
+
+// versionDate dates a snapshot by its version name when that parses as a
+// date, else by its directory's mtime (fi; the zero time when nil).
+func versionDate(version string, fi os.FileInfo) time.Time {
 	for _, layout := range []string{"2006-01-02", "20060102", "2006-01"} {
 		if t, err := time.Parse(layout, version); err == nil {
 			return t
 		}
 	}
-	if fi, err := os.Stat(dir); err == nil {
-		return fi.ModTime().UTC()
+	if fi == nil {
+		return time.Time{}
 	}
-	return time.Time{}
+	return fi.ModTime().UTC()
 }

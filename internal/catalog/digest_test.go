@@ -23,7 +23,11 @@ func TestTreeDigestMatchesTreeHash(t *testing.T) {
 		t.Helper()
 		before := d.Hashed()
 		if len(reread) == 2 {
-			d.Reread(reread[0], reread[1])
+			v, err := statVersionDir(root, reread[0], reread[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Reread(v)
 		}
 		got, err := d.Hash()
 		if err != nil {
@@ -147,7 +151,11 @@ func TestRefreshArchiveDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := info.Digest.Hashed()
-	got, err := RefreshArchiveDigestCtx(context.Background(), root, db, info.Digest, Options{})
+	dirs, err := ScanTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RefreshArchiveDigestCtx(context.Background(), root, dirs, db, info.Digest, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +284,87 @@ func TestCorruptDigestFileIgnored(t *testing.T) {
 	}
 	if !info.FromArchive || info.Digest.Hashed() != 7 {
 		t.Fatalf("fromArchive=%v, read %d dirs; want sidecar after reading all 7", info.FromArchive, info.Digest.Hashed())
+	}
+}
+
+// TestLoadDirsTrustsTheScan: a load handed a scan's result stat-walks
+// nothing again. Saved digests are checked against the scan's stamps, so
+// an edit made after the scan goes unseen by that load, which describes
+// the tree the scan saw, and is caught by the next scan.
+func TestLoadDirsTrustsTheScan(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("change times are read on linux only")
+	}
+	root := t.TempDir()
+	writeAll(t, root, sampleEntries(t))
+	if _, _, err := LoadTreeInfo(root, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ageDigests(t, root, time.Hour)
+	dirs, err := ScanTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Same length, same mtime, different bytes: only the change time moves.
+	path := filepath.Join(root, "Debian", "2021-01-01", "tls-ca-bundle.pem")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, info, err := LoadDirsCtx(context.Background(), root, dirs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.FromArchive || info.Digest.Hashed() != 0 {
+		t.Fatalf("load of the earlier scan: fromArchive=%v, read %d dirs; want sidecar, 0 (no second stat walk)", info.FromArchive, info.Digest.Hashed())
+	}
+	if dirs, err = ScanTree(root); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err = LoadDirsCtx(context.Background(), root, dirs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.FromArchive || info.Digest.Hashed() != 1 {
+		t.Fatalf("load of a fresh scan: fromArchive=%v, read %d dirs; want a re-parse after reading 1", info.FromArchive, info.Digest.Hashed())
+	}
+}
+
+// TestEmptyVersionDirNotHashed: an empty version directory holds no
+// snapshot, so it neither fails a load nor moves the tree hash.
+func TestEmptyVersionDirNotHashed(t *testing.T) {
+	root := t.TempDir()
+	writeAll(t, root, sampleEntries(t))
+	before, err := TreeHash(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk(t, filepath.Join(root, "NSS", "2022-01-01"))
+	after, err := TreeHash(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatal("an empty version directory moved the tree hash")
+	}
+	db, err := LoadTree(root, Options{Archive: ArchiveOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.TotalSnapshots(); got != 7 {
+		t.Fatalf("loaded %d snapshots, want the 7 non-empty ones", got)
 	}
 }

@@ -8,13 +8,17 @@ import (
 	"syscall"
 )
 
+// changeTimes is true where stamps carry inode change times, which no
+// utimes call can forge; only such stamps may vouch for a saved digest.
+const changeTimes = true
+
 // changeTime returns fi's inode change time (Unix ns) and inode number.
-func changeTime(fi os.FileInfo) (change int64, ino uint64, ok bool) {
+func changeTime(fi os.FileInfo) (change int64, ino uint64) {
 	st, ok := fi.Sys().(*syscall.Stat_t)
 	if !ok {
-		return 0, 0, false
+		return 0, 0
 	}
-	return int64(st.Ctim.Sec)*1e9 + int64(st.Ctim.Nsec), uint64(st.Ino), true
+	return int64(st.Ctim.Sec)*1e9 + int64(st.Ctim.Nsec), uint64(st.Ino)
 }
 
 // remoteFS are the statfs magic numbers of filesystems whose content can

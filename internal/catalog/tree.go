@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/obs"
@@ -60,63 +59,20 @@ type TreeInfo struct {
 	Digest *TreeDigest
 }
 
-// versionJob is one version directory scheduled for ingestion.
-type versionJob struct {
-	provider string
-	version  string
-	dir      string
-	date     time.Time
-}
-
-func (j versionJob) key() string { return j.provider + "/" + j.version }
-
-// listVersionDirs enumerates the tree's version directories in the
-// deterministic (provider, version) lexical order every loader shares.
-func listVersionDirs(root string) ([]versionJob, error) {
-	provs, err := os.ReadDir(root)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	var jobs []versionJob
-	for _, prov := range provs {
-		if !prov.IsDir() {
-			continue
-		}
-		provDir := filepath.Join(root, prov.Name())
-		versions, err := os.ReadDir(provDir)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-		for _, v := range versions {
-			if !v.IsDir() {
-				continue
-			}
-			dir := filepath.Join(provDir, v.Name())
-			jobs = append(jobs, versionJob{
-				provider: prov.Name(),
-				version:  v.Name(),
-				dir:      dir,
-				date:     dateForVersion(dir, v.Name()),
-			})
-		}
-	}
-	return jobs, nil
-}
-
-// loadJobs parses every version directory with a bounded worker pool and
-// assembles the database in job order, so the result (and any error
+// loadDirs parses every version directory with a bounded worker pool and
+// assembles the database in scan order, so the result (and any error
 // surfaced) is identical to a sequential load regardless of scheduling.
-func loadJobs(jobs []versionJob, opts Options) (*store.Database, error) {
-	snaps := make([]*store.Snapshot, len(jobs))
-	errs := make([]error, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		snaps[i], _, errs[i] = LoadSnapshot(jobs[i].dir, jobs[i].provider, jobs[i].version, jobs[i].date, opts)
+func loadDirs(dirs []VersionDir, opts Options) (*store.Database, error) {
+	snaps := make([]*store.Snapshot, len(dirs))
+	errs := make([]error, len(dirs))
+	parallelFor(len(dirs), func(i int) {
+		snaps[i], _, errs[i] = LoadSnapshot(dirs[i].Dir, dirs[i].Provider, dirs[i].Version, dirs[i].Date, opts)
 	})
 
 	db := store.NewDatabase()
-	for i, j := range jobs {
+	for i, d := range dirs {
 		if errs[i] != nil {
-			return nil, fmt.Errorf("catalog: %s/%s: %w", j.provider, j.version, errs[i])
+			return nil, fmt.Errorf("catalog: %s: %w", d.Key(), errs[i])
 		}
 		if err := db.AddSnapshot(snaps[i]); err != nil {
 			return nil, err
@@ -184,8 +140,8 @@ func TreeHash(root string) ([archive.HashLen]byte, error) {
 // as a stale load.
 //
 // The digests LoadTreeInfo computes persist beside the sidecar (see
-// digests.go), so a cold start re-reads only directories whose files'
-// stat data moved since they were digested.
+// digests.go), so a cold start re-reads only directories whose scan
+// stamp moved since they were digested.
 type TreeDigest struct {
 	root   string
 	path   string               // where the digests persist; "" keeps them in memory
@@ -200,16 +156,17 @@ func NewTreeDigest(root string) *TreeDigest {
 	return &TreeDigest{root: root, dirs: make(map[string]dirDigest)}
 }
 
-// Reread digests one version directory again now. A caller about to
-// re-parse the directory rereads it first, so a write landing between the
-// two leaves the digest older than the parse — a stale sidecar the next
-// cold start catches — never newer. A directory that cannot be read is
-// forgotten, and read at the next Hash.
-func (d *TreeDigest) Reread(provider, version string) {
-	key := provider + "/" + version
+// Reread digests one version directory again now, under the stamp the
+// scan that reported it gave. A caller about to re-parse the directory
+// rereads it first, so a write landing between the two leaves the digest
+// older than the parse — a stale sidecar the next cold start catches —
+// never newer. A directory that cannot be read is forgotten, and read at
+// the next Hash.
+func (d *TreeDigest) Reread(v VersionDir) {
+	key := v.Key()
 	delete(d.saved, key)
 	d.dirty = true
-	dd, err := digestDir(filepath.Join(d.root, provider, version))
+	dd, err := digestDir(v)
 	if err != nil {
 		delete(d.dirs, key)
 		return
@@ -221,25 +178,28 @@ func (d *TreeDigest) Reread(provider, version string) {
 // Hashed reports how many directory digests the cache has computed.
 func (d *TreeDigest) Hashed() int { return d.hashed }
 
-// Hash returns the tree hash, reading only the version directories whose
-// digest is not remembered. Directories gone from the tree are forgotten.
-// With a persistence path, changed digests are saved (best-effort: a
-// read-only tree only loses the shortcut at its next cold start).
+// Hash scans the tree and returns its hash, reading only the version
+// directories whose digest is not remembered.
 func (d *TreeDigest) Hash() ([archive.HashLen]byte, error) {
-	jobs, err := listVersionDirs(d.root)
+	dirs, err := ScanTree(d.root)
 	if err != nil {
 		return [archive.HashLen]byte{}, err
 	}
-	return d.hashJobs(jobs)
+	return d.hashDirs(dirs)
 }
 
-func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) {
+// hashDirs returns the hash of the tree the scan dirs describes, reading
+// only the directories whose digest is neither remembered nor saved under
+// the scan's stamp. Directories not in dirs are forgotten. With a
+// persistence path, changed digests are saved (best-effort: a read-only
+// tree only loses the shortcut at its next cold start).
+func (d *TreeDigest) hashDirs(dirs []VersionDir) ([archive.HashLen]byte, error) {
 	var out [archive.HashLen]byte
 	var missing []int
-	live := make(map[string]bool, len(jobs))
-	for i, j := range jobs {
-		live[j.key()] = true
-		if _, ok := d.dirs[j.key()]; !ok {
+	live := make(map[string]bool, len(dirs))
+	for i, v := range dirs {
+		live[v.Key()] = true
+		if _, ok := d.dirs[v.Key()]; !ok {
 			missing = append(missing, i)
 		}
 	}
@@ -254,12 +214,12 @@ func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) 
 	read := make([]bool, len(missing))
 	errs := make([]error, len(missing))
 	parallelFor(len(missing), func(i int) {
-		j := jobs[missing[i]]
-		if saved, ok := d.saved[j.key()]; ok && saved.stillValid(j.dir) {
+		v := dirs[missing[i]]
+		if saved, ok := d.saved[v.Key()]; ok && saved.stillValid(v) {
 			digests[i] = saved
 			return
 		}
-		digests[i], errs[i] = digestDir(j.dir)
+		digests[i], errs[i] = digestDir(v)
 		read[i] = true
 	})
 	reused := 0
@@ -267,7 +227,7 @@ func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) 
 		if errs[i] != nil {
 			return out, errs[i]
 		}
-		d.dirs[jobs[idx].key()] = digests[i]
+		d.dirs[dirs[idx].Key()] = digests[i]
 		if read[i] {
 			d.hashed++
 			changed = true
@@ -281,9 +241,9 @@ func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) 
 	d.saved = nil
 
 	h := sha256.New()
-	for _, j := range jobs {
-		fmt.Fprintf(h, "s\x00%s\x00%s\x00%d:%d\x00", j.provider, j.version, j.date.Unix(), j.date.Nanosecond())
-		digest := d.dirs[j.key()]
+	for _, v := range dirs {
+		fmt.Fprintf(h, "s\x00%s\x00%s\x00%d:%d\x00", v.Provider, v.Version, v.Date.Unix(), v.Date.Nanosecond())
+		digest := d.dirs[v.Key()]
 		h.Write(digest.sum[:])
 	}
 	h.Sum(out[:0])
@@ -294,14 +254,11 @@ func (d *TreeDigest) hashJobs(jobs []versionJob) ([archive.HashLen]byte, error) 
 }
 
 // digestDir hashes one version directory's files, the unit a tree hash is
-// built from, stamping it with their stat data first.
-func digestDir(dir string) (dirDigest, error) {
-	dd := dirDigest{taken: time.Now().UnixNano()}
-	// A directory that cannot be stamped keeps the zero stamp, which is
-	// never trusted from disk; hashDir reports any real read failure.
-	dd.stamp, dd.newest, _ = statStamp(dir)
+// built from, under the stamp its scan gave them.
+func digestDir(v VersionDir) (dirDigest, error) {
+	dd := dirDigest{stamp: v.Stamp, newest: v.Newest, taken: v.Taken}
 	h := sha256.New()
-	if err := hashDir(h, dir, 1); err != nil {
+	if err := hashDir(h, v.Dir, 1); err != nil {
 		return dd, err
 	}
 	h.Sum(dd.sum[:0])
@@ -338,21 +295,20 @@ func hashDir(h io.Writer, dir string, depth int) error {
 }
 
 // LoadVersionDir ingests a single <root>/<provider>/<version>/ directory
-// with the same date resolution LoadTree applies — the unit of work an
-// incremental reload re-parses for a changed snapshot.
+// with the same date resolution LoadTree applies.
 func LoadVersionDir(root, provider, version string, opts Options) (*store.Snapshot, Format, error) {
-	return LoadVersionDirCtx(context.Background(), root, provider, version, opts)
+	dir := filepath.Join(root, provider, version)
+	return LoadDirCtx(context.Background(), VersionDir{Provider: provider, Version: version, Dir: dir, Date: dateForVersion(dir, version)}, opts)
 }
 
-// LoadVersionDirCtx is LoadVersionDir under a "catalog.parse" span naming
-// the snapshot being re-parsed — the incremental reload's unit of work in
-// a rescan trace.
-func LoadVersionDirCtx(ctx context.Context, root, provider, version string, opts Options) (*store.Snapshot, Format, error) {
+// LoadDirCtx ingests one scanned version directory, dated as its scan
+// saw it, under a "catalog.parse" span naming the snapshot — the
+// incremental reload's unit of work in a rescan trace.
+func LoadDirCtx(ctx context.Context, v VersionDir, opts Options) (*store.Snapshot, Format, error) {
 	_, span := obs.StartSpan(ctx, "catalog.parse")
 	defer span.End()
-	span.SetAttr("snapshot", provider+"/"+version)
-	dir := filepath.Join(root, provider, version)
-	snap, format, err := LoadSnapshot(dir, provider, version, dateForVersion(dir, version), opts)
+	span.SetAttr("snapshot", v.Key())
+	snap, format, err := LoadSnapshot(v.Dir, v.Provider, v.Version, v.Date, opts)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 	} else {
@@ -372,14 +328,22 @@ func LoadTreeInfo(root string, opts Options) (*store.Database, *TreeInfo, error)
 // compile-on-ingest write — recorded as a child span of whatever trace
 // rides in ctx. With no trace in ctx every span is inert.
 func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Database, *TreeInfo, error) {
-	opts = opts.withDefaults()
-	jobs, err := listVersionDirs(root)
+	dirs, err := ScanTree(root)
 	if err != nil {
 		return nil, nil, err
 	}
+	return LoadDirsCtx(ctx, root, dirs, opts)
+}
+
+// LoadDirsCtx is LoadTreeInfoCtx over the version directories a scan of
+// root reported (ScanTree's result, or a subset of it): exactly these are
+// parsed, or hashed to prove the sidecar fresh, under the scan's stamps
+// and dates. No directory is stat-walked again.
+func LoadDirsCtx(ctx context.Context, root string, dirs []VersionDir, opts Options) (*store.Database, *TreeInfo, error) {
+	opts = opts.withDefaults()
 	info := &TreeInfo{}
 	if opts.Archive == ArchiveOff {
-		db, err := loadJobsCtx(ctx, jobs, opts)
+		db, err := loadDirsCtx(ctx, dirs, opts)
 		return db, info, err
 	}
 
@@ -388,9 +352,10 @@ func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Dat
 		info.ArchivePath = filepath.Join(root, DefaultArchiveName)
 	}
 	_, hashSpan := obs.StartSpan(ctx, "catalog.hash_tree")
-	hashSpan.SetAttr("dirs", strconv.Itoa(len(jobs)))
+	hashSpan.SetAttr("dirs", strconv.Itoa(len(dirs)))
 	info.Digest = openTreeDigest(root, info.ArchivePath+digestsSuffix)
-	th, err := info.Digest.hashJobs(jobs)
+	th, err := info.Digest.hashDirs(dirs)
+	hashSpan.SetAttr("dirs_read", strconv.Itoa(info.Digest.Hashed()))
 	hashSpan.End()
 	if err != nil {
 		return nil, nil, err
@@ -403,7 +368,7 @@ func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Dat
 		return db, info, nil
 	}
 
-	db, err := loadJobsCtx(ctx, jobs, opts)
+	db, err := loadDirsCtx(ctx, dirs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,12 +380,12 @@ func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Dat
 	return db, info, nil
 }
 
-// loadJobsCtx runs the parallel native parse under a "catalog.parse" span.
-func loadJobsCtx(ctx context.Context, jobs []versionJob, opts Options) (*store.Database, error) {
+// loadDirsCtx runs the parallel native parse under a "catalog.parse" span.
+func loadDirsCtx(ctx context.Context, dirs []VersionDir, opts Options) (*store.Database, error) {
 	_, span := obs.StartSpan(ctx, "catalog.parse")
 	defer span.End()
-	span.SetAttr("snapshots", strconv.Itoa(len(jobs)))
-	db, err := loadJobs(jobs, opts)
+	span.SetAttr("snapshots", strconv.Itoa(len(dirs)))
+	db, err := loadDirs(dirs, opts)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 	}
@@ -461,23 +426,32 @@ func RefreshArchive(root string, db *store.Database, opts Options) error {
 // RefreshArchiveCtx is RefreshArchive with the tree hash and compile
 // recorded as spans of the surrounding trace.
 func RefreshArchiveCtx(ctx context.Context, root string, db *store.Database, opts Options) error {
-	_, err := RefreshArchiveDigestCtx(ctx, root, db, NewTreeDigest(root), opts)
+	if opts.Archive == ArchiveOff {
+		return nil
+	}
+	dirs, err := ScanTree(root)
+	if err != nil {
+		return err
+	}
+	_, err = RefreshArchiveDigestCtx(ctx, root, dirs, db, NewTreeDigest(root), opts)
 	return err
 }
 
-// RefreshArchiveDigestCtx is RefreshArchiveCtx hashing the tree through d,
-// so only directories d does not remember are read — an incremental
-// reloader rereads the directories it re-parses and pays for nothing
-// else. It returns the compiled database's hash (archive.HashDatabase's
-// value), a by-product of the compile; zero under ArchiveOff.
-func RefreshArchiveDigestCtx(ctx context.Context, root string, db *store.Database, d *TreeDigest, opts Options) ([archive.HashLen]byte, error) {
+// RefreshArchiveDigestCtx is RefreshArchiveCtx for the database loaded
+// from dirs, the version directories a scan reported, hashing them
+// through d: only directories d does not remember are read — an
+// incremental reloader rereads the directories it re-parses and pays for
+// nothing else. It returns the compiled database's hash
+// (archive.HashDatabase's value), a by-product of the compile; zero under
+// ArchiveOff.
+func RefreshArchiveDigestCtx(ctx context.Context, root string, dirs []VersionDir, db *store.Database, d *TreeDigest, opts Options) ([archive.HashLen]byte, error) {
 	var zero [archive.HashLen]byte
 	if opts.Archive == ArchiveOff {
 		return zero, nil
 	}
 	_, hashSpan := obs.StartSpan(ctx, "catalog.hash_tree")
 	before := d.Hashed()
-	th, err := d.Hash()
+	th, err := d.hashDirs(dirs)
 	hashSpan.SetAttr("dirs_read", strconv.Itoa(d.Hashed()-before))
 	hashSpan.End()
 	if err != nil {

@@ -62,10 +62,11 @@ func TestIncrementalReloadSharesUnchangedSnapshots(t *testing.T) {
 	}
 }
 
-// TestSameSecondRewriteDetected pins the size+mtime stamp: rewriting a
-// snapshot with different content but an identical mtime (forced via
-// Chtimes, the same-second-rewrite race) must still trigger a reload
-// because the byte size moved.
+// TestSameSecondRewriteDetected: rewriting a snapshot with different
+// content and then forcing the original mtime back onto the file and its
+// directory (the same-second-rewrite race, forced via Chtimes) must still
+// trigger a reload: the stat stamp moves with the change times the
+// rewrite and the Chtimes set, and here with the byte size too.
 func TestSameSecondRewriteDetected(t *testing.T) {
 	root := t.TempDir()
 	writePEM(t, root, "NSS", "2020-01-01", trusted(t, 0, 1, 2))
@@ -96,7 +97,7 @@ func TestSameSecondRewriteDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("same-mtime rewrite processed %d snapshots, want 1 (size change missed)", n)
+		t.Fatalf("same-mtime rewrite processed %d snapshots, want 1 (stamp change missed)", n)
 	}
 	if got := trk.Database().History("NSS").Latest().Len(); got != 2 {
 		t.Fatalf("reloaded snapshot has %d roots, want 2", got)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/catalog"
 )
 
 // newPollingDirSource is the reference the dirty set is held to: a source
@@ -44,13 +46,13 @@ func sameScan(t *testing.T, step string, watched, polled *DirSource) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Key() != w.Key() || g.Path != w.Path || !g.ModTime.Equal(w.ModTime) || g.Size != w.Size {
+		if g.Key() != w.Key() || g.Dir != w.Dir || g.Stamp != w.Stamp || !g.Date.Equal(w.Date) {
 			t.Fatalf("%s: dir %d: watched %+v, full walk %+v", step, i, g, w)
 		}
 	}
 }
 
-func keysOf(dirs []SnapshotDir) []string {
+func keysOf(dirs []catalog.VersionDir) []string {
 	out := make([]string, len(dirs))
 	for i, d := range dirs {
 		out[i] = d.Key()

@@ -21,9 +21,8 @@ const DefaultInterval = 2 * time.Second
 
 // Config wires a Tracker.
 type Config struct {
-	// Source enumerates snapshot directories (required). DirSource polls
-	// a local catalog.TreeLayout tree.
-	Source Source
+	// Source is the watched snapshot tree (required).
+	Source *DirSource
 	// Catalog tunes snapshot ingestion (JKS password, bundle purposes).
 	Catalog catalog.Options
 	// Interval is the poll cadence (DefaultInterval when 0).
@@ -69,7 +68,7 @@ type Tracker struct {
 	digest *catalog.TreeDigest
 
 	mu       sync.Mutex
-	seen     map[dirKey]stamp // change stamp of every ingested directory
+	seen     map[dirKey][archive.HashLen]byte // stat stamp of every ingested directory
 	db       *store.Database
 	dbHash   [archive.HashLen]byte // archive.HashDatabase(db) when known, else zero
 	removals map[string]*removalRecord
@@ -81,19 +80,6 @@ type Tracker struct {
 	rescans, reloads, events, reload *obs.CounterVar
 	lastReload                       *obs.GaugeVar
 	digested                         atomic.Int64
-}
-
-// stamp is the change detector for one snapshot directory: a same-second
-// rewrite escapes mtime granularity but moves the size, and either moving
-// (in any direction — mtimes go backwards when trees are restored from
-// archives) marks the directory changed.
-type stamp struct {
-	mod  time.Time
-	size int64
-}
-
-func (s stamp) differs(d SnapshotDir) bool {
-	return !d.ModTime.Equal(s.mod) || d.Size != s.size
 }
 
 // removalRecord is the live responsiveness ledger for one removed root:
@@ -131,7 +117,7 @@ func New(cfg Config) (*Tracker, error) {
 		cfg:      cfg,
 		log:      l,
 		bus:      NewBus(),
-		seen:     make(map[dirKey]stamp),
+		seen:     make(map[dirKey][archive.HashLen]byte),
 		removals: make(map[string]*removalRecord),
 	}
 	t.declareMetrics()
@@ -150,10 +136,7 @@ func (t *Tracker) declareMetrics() {
 	t.reload = r.Counter("trustd_tracker_reload_seconds_total", "Cumulative time spent reloading the database.")
 	r.CounterFunc("trustd_tracker_dirs_digested_total", "Snapshot directories read to hash the tree for sidecar refreshes.",
 		func() float64 { return float64(t.digested.Load()) })
-	src, ok := t.cfg.Source.(interface{ SourceStats() SourceStats })
-	if !ok {
-		return
-	}
+	src := t.cfg.Source
 	r.GaugeFunc("trustd_tracker_inotify", "1 while an inotify dirty set drives scans, 0 while every scan stat-walks the tree.",
 		func() float64 { return map[bool]float64{true: 1}[src.SourceStats().Inotify] })
 	r.GaugeFunc("trustd_tracker_inotify_watches", "Directories carrying an inotify watch.",
@@ -269,13 +252,12 @@ func lagDays(first, then time.Time) int {
 }
 
 // Run rescans the source until ctx is cancelled: every Interval, and at
-// once whenever a Notifier source reports a change. Scan or ingest errors
+// once whenever inotify reports a change. Scan or ingest errors
 // are logged and retried next tick (a half-written tree settles by
 // itself); only ctx cancellation ends the loop.
 func (t *Tracker) Run(ctx context.Context) error {
 	ticker := time.NewTicker(t.cfg.Interval)
 	defer ticker.Stop()
-	notifier, _ := t.cfg.Source.(Notifier)
 	var wake <-chan struct{}
 	for {
 		if n, err := t.Rescan(); err != nil {
@@ -283,9 +265,9 @@ func (t *Tracker) Run(ctx context.Context) error {
 		} else if n > 0 {
 			t.cfg.Logger.Info("ingested", "snapshots", n, "events", t.log.LastSeq())
 		}
-		if wake == nil && notifier != nil {
+		if wake == nil {
 			// Asked after a scan: a source learns how it watches on its first.
-			wake = notifier.Notify()
+			wake = t.cfg.Source.Notify()
 		}
 		select {
 		case <-ctx.Done():
@@ -328,14 +310,14 @@ func (t *Tracker) Rescan() (int, error) {
 	trace.SetAttr("dirs", strconv.Itoa(len(dirs)))
 
 	t.mu.Lock()
-	var changed []SnapshotDir
+	var changed []catalog.VersionDir
 	known := 0
 	for _, d := range dirs {
-		st, ok := t.seen[d.dirKey()]
+		st, ok := t.seen[keyOf(d)]
 		if ok {
 			known++
 		}
-		if !ok || st.differs(d) {
+		if !ok || st != d.Stamp {
 			changed = append(changed, d)
 		}
 	}
@@ -363,11 +345,12 @@ func (t *Tracker) Rescan() (int, error) {
 	var dbHash [archive.HashLen]byte
 	lctx, loadSpan := obs.StartSpan(ctx, "tracker.load")
 	if initial {
-		// Cold start: the catalog takes the fast path through a fresh
+		// Cold start: the catalog loads exactly the directories the scan
+		// reported, under its stamps, taking the fast path through a fresh
 		// sidecar archive when one exists.
 		loadSpan.SetAttr("mode", "full")
 		var info *catalog.TreeInfo
-		newDB, info, err = catalog.LoadTreeInfoCtx(lctx, t.cfg.Source.Root(), t.cfg.Catalog)
+		newDB, info, err = catalog.LoadDirsCtx(lctx, t.cfg.Source.Root(), dirs, t.cfg.Catalog)
 		if err == nil {
 			t.digest, dbHash = info.Digest, info.DatabaseHash
 		}
@@ -390,7 +373,7 @@ func (t *Tracker) Rescan() (int, error) {
 	if vanished {
 		present := make(map[dirKey]bool, len(dirs))
 		for _, d := range dirs {
-			present[d.dirKey()] = true
+			present[keyOf(d)] = true
 		}
 		for key := range t.seen {
 			if !present[key] {
@@ -408,14 +391,14 @@ func (t *Tracker) Rescan() (int, error) {
 			continue
 		}
 		var prev *store.Snapshot
-		if _, wasSeen := t.seen[d.dirKey()]; wasSeen && oldDB != nil {
+		if _, wasSeen := t.seen[keyOf(d)]; wasSeen && oldDB != nil {
 			// Modified in place: diff against what we served before.
 			prev = snapshotByVersion(oldDB, d.Provider, d.Version)
 		} else {
 			prev = predecessorOf(newDB.History(d.Provider), snap)
 		}
 		ingests = append(ingests, ingest{snap: snap, prev: prev})
-		t.seen[d.dirKey()] = stamp{mod: d.ModTime, size: d.Size}
+		t.seen[keyOf(d)] = d.Stamp
 	}
 	// Chronological emission across providers keeps the removal ledger's
 	// "first remover" truthful during history replay.
@@ -475,19 +458,19 @@ func (t *Tracker) finishReload(start time.Time, emitted int, trace, classifySpan
 // the old generation is still serving. It returns the generation's
 // database hash when the sidecar refresh yielded it (zero otherwise).
 // Callers hold rescanMu.
-func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir, oldDB *store.Database) (*store.Database, [archive.HashLen]byte, error) {
+func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []catalog.VersionDir, oldDB *store.Database) (*store.Database, [archive.HashLen]byte, error) {
 	var dbHash [archive.HashLen]byte
 	if t.digest == nil {
 		t.digest = catalog.NewTreeDigest(t.cfg.Source.Root())
 	}
 	changedKeys := make(map[dirKey]bool, len(changed))
 	for _, d := range changed {
-		changedKeys[d.dirKey()] = true
+		changedKeys[keyOf(d)] = true
 	}
 	newDB := store.NewDatabase()
 	for _, d := range dirs {
 		var snap *store.Snapshot
-		if !changedKeys[d.dirKey()] && oldDB != nil {
+		if !changedKeys[keyOf(d)] && oldDB != nil {
 			if old := snapshotByVersion(oldDB, d.Provider, d.Version); old != nil {
 				snap = old.ShareClone()
 			}
@@ -495,8 +478,8 @@ func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir,
 		if snap == nil {
 			// Digest first: the sidecar's tree hash must never describe
 			// newer content than this parse (see catalog.TreeDigest).
-			t.digest.Reread(d.Provider, d.Version)
-			s, _, err := catalog.LoadVersionDirCtx(ctx, t.cfg.Source.Root(), d.Provider, d.Version, t.cfg.Catalog)
+			t.digest.Reread(d)
+			s, _, err := catalog.LoadDirCtx(ctx, d, t.cfg.Catalog)
 			if err != nil {
 				return nil, dbHash, fmt.Errorf("tracker: %s: %w", d.Key(), err)
 			}
@@ -509,7 +492,7 @@ func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []SnapshotDir,
 	// Keep the next cold start fast: recompile the sidecar from the spliced
 	// database (best-effort; no-op under ArchiveOff). Only the changed
 	// directories are hashed again.
-	dbHash, err := catalog.RefreshArchiveDigestCtx(ctx, t.cfg.Source.Root(), newDB, t.digest, t.cfg.Catalog)
+	dbHash, err := catalog.RefreshArchiveDigestCtx(ctx, t.cfg.Source.Root(), dirs, newDB, t.digest, t.cfg.Catalog)
 	if err != nil {
 		t.cfg.Logger.Warn("sidecar archive refresh failed", "err", err)
 	}

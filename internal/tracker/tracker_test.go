@@ -154,6 +154,9 @@ func TestInitialRescanReplaysHistory(t *testing.T) {
 	if rm.LagDays == nil || *rm.LagDays != 0 || rm.FirstRemover != "NSS" {
 		t.Errorf("first removal lag = %v first=%q", rm.LagDays, rm.FirstRemover)
 	}
+	if rows := trk.Responsiveness(); len(rows) != 1 {
+		t.Errorf("responsiveness rows = %d, want 1", len(rows))
+	}
 
 	das := trk.Log().Replay(Filter{Type: DistrustAfterSet})
 	if len(das) != 1 {
