@@ -23,7 +23,7 @@ func TestTreeDigestMatchesTreeHash(t *testing.T) {
 		t.Helper()
 		before := d.Hashed()
 		if len(reread) == 2 {
-			v, err := statVersionDir(root, reread[0], reread[1])
+			v, err := statVersionDir(root, reread[0], reread[1], true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +344,8 @@ func TestLoadDirsTrustsTheScan(t *testing.T) {
 }
 
 // TestEmptyVersionDirNotHashed: an empty version directory holds no
-// snapshot, so it neither fails a load nor moves the tree hash.
+// snapshot, so it neither fails a load nor moves the tree hash, whether
+// the tree is listed (TreeHash) or stat-walked (a load keeping digests).
 func TestEmptyVersionDirNotHashed(t *testing.T) {
 	root := t.TempDir()
 	writeAll(t, root, sampleEntries(t))
@@ -366,5 +367,8 @@ func TestEmptyVersionDirNotHashed(t *testing.T) {
 	}
 	if got := db.TotalSnapshots(); got != 7 {
 		t.Fatalf("loaded %d snapshots, want the 7 non-empty ones", got)
+	}
+	if _, info, err := LoadTreeInfo(root, Options{}); err != nil || info.TreeHash != before {
+		t.Fatalf("stat-walked load: %v; its tree hash differs from the listed one", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -48,7 +49,14 @@ func (v VersionDir) Key() string { return v.Provider + "/" + v.Version }
 // directories at a time, and returns them in the deterministic (provider,
 // version) lexical order every loader shares. Empty directories hold no
 // snapshot and are left out, as are directories that vanish mid-walk.
-func ScanTree(root string) ([]VersionDir, error) {
+func ScanTree(root string) ([]VersionDir, error) { return scanTree(root, true) }
+
+// listTree is ScanTree without the stamps: the same directories, dates
+// and order, for callers that read every directory anyway and keep no
+// digest for a later load (a one-shot tree hash, an ArchiveOff parse).
+func listTree(root string) ([]VersionDir, error) { return scanTree(root, false) }
+
+func scanTree(root string, stamp bool) ([]VersionDir, error) {
 	provs, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
@@ -68,7 +76,7 @@ func ScanTree(root string) ([]VersionDir, error) {
 			}
 		}
 	}
-	errs := StatVersionDirs(root, dirs)
+	errs := statVersionDirs(root, dirs, stamp)
 	out := dirs[:0]
 	for i, d := range dirs {
 		switch err := errs[i]; {
@@ -87,18 +95,23 @@ func ScanTree(root string) ([]VersionDir, error) {
 // errs[i] is dirs[i]'s failure; one matching fs.ErrNotExist means the
 // directory is gone or no longer a directory.
 func StatVersionDirs(root string, dirs []VersionDir) []error {
+	return statVersionDirs(root, dirs, true)
+}
+
+func statVersionDirs(root string, dirs []VersionDir, stamp bool) []error {
 	if len(dirs) == 0 {
 		return nil // an idle inotify scan allocates nothing here
 	}
 	errs := make([]error, len(dirs))
 	parallelFor(len(dirs), func(i int) {
-		dirs[i], errs[i] = statVersionDir(root, dirs[i].Provider, dirs[i].Version)
+		dirs[i], errs[i] = statVersionDir(root, dirs[i].Provider, dirs[i].Version, stamp)
 	})
 	return errs
 }
 
-// statVersionDir stat-walks one version directory.
-func statVersionDir(root, provider, version string) (VersionDir, error) {
+// statVersionDir stat-walks one version directory; without stamp it
+// reads only the directory's own stat and whether it has entries.
+func statVersionDir(root, provider, version string, stamp bool) (VersionDir, error) {
 	v := VersionDir{
 		Provider: provider,
 		Version:  version,
@@ -113,7 +126,12 @@ func statVersionDir(root, provider, version string) (VersionDir, error) {
 		return v, fmt.Errorf("catalog: %w", err)
 	}
 	v.Date = versionDate(version, fi)
-	if v.Stamp, v.Newest, v.Empty, err = statStamp(v.Dir, fi); err != nil {
+	if !stamp {
+		v.Empty, err = isEmpty(v.Dir)
+	} else {
+		v.Stamp, v.Newest, v.Empty, err = statStamp(v.Dir, fi)
+	}
+	if err != nil {
 		return v, fmt.Errorf("catalog: %w", err)
 	}
 	return v, nil
@@ -168,4 +186,17 @@ func statStamp(dir string, fi os.FileInfo) (stamp [archive.HashLen]byte, newest 
 	}
 	h.Sum(stamp[:0])
 	return stamp, newest, empty, nil
+}
+
+// isEmpty reports whether dir has no entries, reading at most one.
+func isEmpty(dir string) (bool, error) {
+	f, err := os.Open(dir)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	if _, err := f.Readdirnames(1); err != io.EOF {
+		return false, err
+	}
+	return true, nil
 }

@@ -181,7 +181,7 @@ func (d *TreeDigest) Hashed() int { return d.hashed }
 // Hash scans the tree and returns its hash, reading only the version
 // directories whose digest is not remembered.
 func (d *TreeDigest) Hash() ([archive.HashLen]byte, error) {
-	dirs, err := ScanTree(d.root)
+	dirs, err := listTree(d.root)
 	if err != nil {
 		return [archive.HashLen]byte{}, err
 	}
@@ -328,7 +328,11 @@ func LoadTreeInfo(root string, opts Options) (*store.Database, *TreeInfo, error)
 // compile-on-ingest write — recorded as a child span of whatever trace
 // rides in ctx. With no trace in ctx every span is inert.
 func LoadTreeInfoCtx(ctx context.Context, root string, opts Options) (*store.Database, *TreeInfo, error) {
-	dirs, err := ScanTree(root)
+	scan := ScanTree
+	if opts.Archive == ArchiveOff {
+		scan = listTree // no digests to check or keep
+	}
+	dirs, err := scan(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -429,7 +433,7 @@ func RefreshArchiveCtx(ctx context.Context, root string, db *store.Database, opt
 	if opts.Archive == ArchiveOff {
 		return nil
 	}
-	dirs, err := ScanTree(root)
+	dirs, err := listTree(root) // the digests are read once and dropped
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,12 @@
 package tracker
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/store"
 )
 
@@ -62,50 +64,78 @@ func TestIncrementalReloadSharesUnchangedSnapshots(t *testing.T) {
 	}
 }
 
-// TestSameSecondRewriteDetected: rewriting a snapshot with different
-// content and then forcing the original mtime back onto the file and its
-// directory (the same-second-rewrite race, forced via Chtimes) must still
-// trigger a reload: the stat stamp moves with the change times the
-// rewrite and the Chtimes set, and here with the byte size too.
+// TestSameSecondRewriteDetected: rewriting a snapshot and then forcing
+// the original mtime back onto the file and its directory (the
+// same-second-rewrite race, forced via Chtimes; cp -p and rsync --inplace
+// --times leave the same) must still trigger a reload, and the tracker
+// then serves what a cold parse finds. The stat stamp moves with the
+// change times the rewrite and the Chtimes set, even for an edit that
+// keeps the byte size: CKT_NSS_TRUSTED_DELEGATOR to
+// CKT_NSS_MUST_VERIFY_TRUST, both 25 bytes.
 func TestSameSecondRewriteDetected(t *testing.T) {
-	root := t.TempDir()
-	writePEM(t, root, "NSS", "2020-01-01", trusted(t, 0, 1, 2))
+	for _, tc := range []struct {
+		name  string
+		file  string
+		write func(t *testing.T, root, provider, version string, entries []*store.TrustEntry)
+		edit  func(t *testing.T, root, path string)
+		event Type
+	}{
+		{"one root fewer", "tls-ca-bundle.pem", writePEM, func(t *testing.T, root, _ string) {
+			writePEM(t, root, "NSS", "2020-01-01", trusted(t, 0, 1))
+		}, RootRemoved},
+		{"same-size trust edit", "certdata.txt", writeCertdata, func(t *testing.T, _, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from := []byte("CKA_TRUST_SERVER_AUTH CK_TRUST CKT_NSS_TRUSTED_DELEGATOR")
+			to := []byte("CKA_TRUST_SERVER_AUTH CK_TRUST CKT_NSS_MUST_VERIFY_TRUST")
+			edited := bytes.Replace(data, from, to, 1)
+			if bytes.Equal(edited, data) || len(edited) != len(data) {
+				t.Fatal("certdata.txt has no server-auth delegator line to edit in place")
+			}
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, TrustChanged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			tc.write(t, root, "NSS", "2020-01-01", trusted(t, 0, 1, 2))
+			trk := newTestTracker(t, root, nil)
+			if _, err := trk.Rescan(); err != nil {
+				t.Fatal(err)
+			}
 
-	trk := newTestTracker(t, root, nil)
-	if _, err := trk.Rescan(); err != nil {
-		t.Fatal(err)
-	}
+			dir := filepath.Join(root, "NSS", "2020-01-01")
+			path := filepath.Join(dir, tc.file)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(t, root, path)
+			for _, p := range []string{path, dir} {
+				if err := os.Chtimes(p, fi.ModTime(), fi.ModTime()); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	dir := filepath.Join(root, "NSS", "2020-01-01")
-	bundle := filepath.Join(dir, "tls-ca-bundle.pem")
-	fi, err := os.Stat(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite with one root fewer, then force the mtime back to the exact
-	// original stamp on both the file and its directory.
-	writePEM(t, root, "NSS", "2020-01-01", trusted(t, 0, 1))
-	for _, p := range []string{bundle, dir} {
-		if err := os.Chtimes(p, fi.ModTime(), fi.ModTime()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	n, err := trk.Rescan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("same-mtime rewrite processed %d snapshots, want 1 (stamp change missed)", n)
-	}
-	if got := trk.Database().History("NSS").Latest().Len(); got != 2 {
-		t.Fatalf("reloaded snapshot has %d roots, want 2", got)
-	}
-
-	removals := trk.Replay(Filter{Type: RootRemoved})
-	if len(removals) != 1 {
-		t.Fatalf("%d removal events, want 1", len(removals))
+			if n, err := trk.Rescan(); err != nil || n != 1 {
+				t.Fatalf("rescan after the rewrite = (%d, %v), want 1 snapshot (stamp change missed)", n, err)
+			}
+			cold, err := catalog.LoadTree(root, catalog.Options{Archive: catalog.ArchiveOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, want := trk.Database().History("NSS").Latest(), cold.History("NSS").Latest()
+			if served.Len() != want.Len() || served.TrustedCount(store.ServerAuth) != want.TrustedCount(store.ServerAuth) {
+				t.Fatalf("serving %d roots, %d for server auth; a cold parse finds %d, %d",
+					served.Len(), served.TrustedCount(store.ServerAuth), want.Len(), want.TrustedCount(store.ServerAuth))
+			}
+			if got := trk.Replay(Filter{Type: tc.event}); len(got) != 1 {
+				t.Fatalf("%d %s events, want 1", len(got), tc.event)
+			}
+		})
 	}
 }
 

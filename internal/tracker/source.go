@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"math"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,9 +36,9 @@ func keyOf(d catalog.VersionDir) dirKey { return dirKey{d.Provider, d.Version} }
 type DirSource struct {
 	root string
 	// settle is how long a snapshot directory's newest change time must
-	// lie in the past before it is reported; it papers over multi-file
-	// writers (authroot.stl plus its certs/, Apple roots dirs) being
-	// caught mid-copy, even ones that preserve old mtimes.
+	// lie in the past before a change to it is reported; it papers over
+	// multi-file writers (authroot.stl plus its certs/, Apple roots dirs)
+	// being caught mid-copy, even ones that preserve old mtimes.
 	settle time.Duration
 	now    func() time.Time
 
@@ -47,8 +46,9 @@ type DirSource struct {
 	poll       bool     // stat-walk every scan; set for good once inotify fails
 	pollReason error    // why inotify is not in use, when it is not
 	watch      *watcher // nil until the first Scan, and when polling
-	// known is the last stat of every reported directory; recheck holds
-	// directories re-statted every scan until they settle (or stop failing).
+	// known is the last settled stat of every reported directory (kept by
+	// walks only with a settle window); recheck holds directories
+	// re-statted every scan until they settle (or stop failing).
 	known   map[string]catalog.VersionDir
 	recheck map[string]bool
 	sorted  []catalog.VersionDir // known in key order; nil once a restat may have moved it
@@ -65,16 +65,26 @@ func NewDirSource(root string, settle time.Duration) *DirSource {
 func (s *DirSource) Root() string { return s.root }
 
 // Scan lists the settled, non-empty snapshot directories, sorted by
-// (provider, version). Directories still being written (changed within
-// the settle window) are omitted and picked up by a later scan. The
-// caller must not modify the returned slice: with inotify, scans that
-// find no change return the same one.
-func (s *DirSource) Scan() ([]catalog.VersionDir, error) {
+// (provider, version). A directory changed within the settle window is
+// held back: a new one is omitted, and one reported before is reported
+// as it last settled, until a later scan sees it quiet. The caller must
+// not modify the returned slice: with inotify, scans that find no change
+// return the same one.
+func (s *DirSource) Scan() ([]catalog.VersionDir, error) { return s.scan(false) }
+
+// scan is Scan; a cold scan applies no settle window, so a tracker's first
+// load takes every non-empty directory, however recently its files were
+// copied in (tar x, rsync -a and cp -p leave every change time at "now").
+func (s *DirSource) scan(cold bool) ([]catalog.VersionDir, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cutoff := int64(math.MaxInt64)
+	if s.settle > 0 && !cold {
+		cutoff = s.now().Add(-s.settle).UnixNano()
+	}
 	if !s.poll && s.watch == nil {
 		if _, err := os.Stat(s.root); err != nil {
-			return s.walk() // reports the missing root; inotify is tried again next scan
+			return s.walk(cutoff) // reports the missing root; inotify is tried again next scan
 		}
 		w, err := newWatcher(s.root)
 		if err != nil {
@@ -84,48 +94,60 @@ func (s *DirSource) Scan() ([]catalog.VersionDir, error) {
 		}
 	}
 	if s.watch != nil {
-		dirs, err := s.scanWatched()
+		dirs, err := s.scanWatched(cutoff)
 		if !errors.Is(err, errWatchFailed) {
 			return dirs, err
 		}
 		s.fallBack(err)
 	}
-	return s.walk()
+	return s.walk(cutoff)
 }
 
-// fallBack switches to polling for good. Callers hold s.mu.
-func (s *DirSource) fallBack(err error) {
+// fallBack switches to polling for good, keeping what settled last.
+// Callers hold s.mu.
+func (s *DirSource) fallBack(reason error) error {
+	var err error
 	if s.watch != nil {
-		s.watch.close()
+		err = s.watch.close()
 		s.watch = nil
 	}
-	s.poll, s.pollReason = true, err
-	s.known, s.recheck, s.sorted = nil, nil, nil
+	s.poll, s.pollReason = true, reason
+	s.recheck, s.sorted = nil, nil
+	return err
 }
 
-// walk is the full stat walk: every version directory, every file.
-func (s *DirSource) walk() ([]catalog.VersionDir, error) {
+// walk is the full stat walk: every version directory, every file. A
+// directory whose newest change time is past cutoff is held back.
+func (s *DirSource) walk(cutoff int64) ([]catalog.VersionDir, error) {
 	dirs, err := catalog.ScanTree(s.root)
 	if err != nil {
 		return nil, fmt.Errorf("tracker: scan: %w", err)
 	}
 	s.statted += uint64(len(dirs))
-	cutoff := s.cutoff()
-	return slices.DeleteFunc(dirs, func(d catalog.VersionDir) bool { return d.Newest > cutoff }), nil
-}
-
-// cutoff is the newest change time a reported directory may have: all
-// of them without a settle window.
-func (s *DirSource) cutoff() int64 {
 	if s.settle <= 0 {
-		return math.MaxInt64
+		return dirs, nil // nothing is ever held back
 	}
-	return s.now().Add(-s.settle).UnixNano()
+	known := make(map[string]catalog.VersionDir, len(dirs))
+	out := dirs[:0]
+	for _, d := range dirs {
+		key := d.Key()
+		if d.Newest > cutoff {
+			prev, ok := s.known[key]
+			if !ok {
+				continue // new and still being written; a later scan reports it
+			}
+			d = prev // changed and still being written: report what settled last
+		}
+		known[key] = d
+		out = append(out, d)
+	}
+	s.known = known
+	return out, nil
 }
 
 // scanWatched re-stats the directories the dirty set names (plus any
 // still settling) and reports every known directory. Callers hold s.mu.
-func (s *DirSource) scanWatched() ([]catalog.VersionDir, error) {
+func (s *DirSource) scanWatched(cutoff int64) ([]catalog.VersionDir, error) {
 	ch, err := s.watch.take()
 	if err != nil {
 		return nil, err
@@ -157,7 +179,6 @@ func (s *DirSource) scanWatched() ([]catalog.VersionDir, error) {
 	}
 	s.statted += uint64(len(dirs))
 	errs := catalog.StatVersionDirs(s.root, dirs)
-	cutoff := s.cutoff()
 	for i, d := range dirs {
 		if err := errs[i]; err != nil && !errors.Is(err, fs.ErrNotExist) {
 			for key := range ch.keys {
@@ -166,16 +187,20 @@ func (s *DirSource) scanWatched() ([]catalog.VersionDir, error) {
 			return nil, err
 		}
 		key := d.Key()
-		delete(s.known, key)
-		delete(s.recheck, key)
-		s.sorted = nil
 		switch {
 		case errs[i] != nil, d.Empty:
 			// Gone, or nothing ingestable yet; its watch reports the first file.
+			delete(s.known, key)
+			delete(s.recheck, key)
+			s.sorted = nil
 		case d.Newest > cutoff:
-			s.recheck[key] = true // still being written
+			// Still being written: a known directory keeps its last
+			// settled entry until this one settles.
+			s.recheck[key] = true
 		default:
+			delete(s.recheck, key)
 			s.known[key] = d
+			s.sorted = nil
 		}
 	}
 	if s.sorted == nil {
@@ -239,13 +264,7 @@ func (s *DirSource) SourceStats() SourceStats {
 func (s *DirSource) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.poll, s.pollReason = true, errors.New("tracker: source closed")
-	if s.watch == nil {
-		return nil
-	}
-	err := s.watch.close()
-	s.watch, s.known, s.recheck, s.sorted = nil, nil, nil, nil
-	return err
+	return s.fallBack(errors.New("tracker: source closed"))
 }
 
 // changes is what the dirty set accumulated between two scans.

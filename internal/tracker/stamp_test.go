@@ -2,10 +2,11 @@ package tracker
 
 // Change-detection regressions: the tracker keys on catalog's stat stamp
 // (change times included), the settle window on the stamp's newest change
-// time, and the cold start loads exactly what the scan reported.
+// time (it holds back a change, never a served directory), and the cold
+// start loads every non-empty directory the scan found.
 
 import (
-	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,62 +16,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/catalog"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
-
-// TestSameSizeTrustEditWithRestoredMtime: an NSS certdata.txt edited in
-// place from CKT_NSS_TRUSTED_DELEGATOR to CKT_NSS_MUST_VERIFY_TRUST (both
-// 25 bytes) with its old mtime restored, as cp -p or rsync --inplace
-// --times leave it, moves neither size nor mtime. Its change time moves,
-// so the edit is re-ingested and served, as a cold parse sees it.
-func TestSameSizeTrustEditWithRestoredMtime(t *testing.T) {
-	root := t.TempDir()
-	writeCertdata(t, root, "NSS", "2020-01-01", trusted(t, 0, 1, 2))
-	trk := newTestTracker(t, root, nil)
-	if _, err := trk.Rescan(); err != nil {
-		t.Fatal(err)
-	}
-	served := func() int {
-		return trk.Database().History("NSS").Latest().TrustedCount(store.ServerAuth)
-	}
-	if got := served(); got != 3 {
-		t.Fatalf("serving %d server-auth roots, want 3", got)
-	}
-
-	path := filepath.Join(root, "NSS", "2020-01-01", "certdata.txt")
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := []byte("CKA_TRUST_SERVER_AUTH CK_TRUST CKT_NSS_TRUSTED_DELEGATOR")
-	to := []byte("CKA_TRUST_SERVER_AUTH CK_TRUST CKT_NSS_MUST_VERIFY_TRUST")
-	edited := bytes.Replace(data, from, to, 1)
-	if bytes.Equal(edited, data) || len(edited) != len(data) {
-		t.Fatal("certdata.txt has no server-auth delegator line to edit in place")
-	}
-	if err := os.WriteFile(path, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
-		t.Fatal(err)
-	}
-
-	if n, err := trk.Rescan(); err != nil || n != 1 {
-		t.Fatalf("rescan after the edit = (%d, %v), want 1 snapshot re-ingested", n, err)
-	}
-	cold, err := catalog.LoadTree(root, catalog.Options{Archive: catalog.ArchiveOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cold.History("NSS").Latest().TrustedCount(store.ServerAuth)
-	if got := served(); got != want || want != 2 {
-		t.Fatalf("serving %d server-auth roots, a cold parse finds %d (want 2)", got, want)
-	}
-}
 
 // TestDateOnlyChangeMovesServedDate: a version directory whose name is no
 // date is dated by its own mtime. Moving that mtime alone changes the
@@ -148,32 +94,55 @@ func TestEmptyVersionDirAtStart(t *testing.T) {
 	}
 }
 
-// TestSettleHoldsPreservedMtimes: a copy that preserves old mtimes (cp -p,
-// rsync -t) still changes every file's change time, so a directory
-// written that way is held back for the settle window instead of being
-// ingested, perhaps half-written, at once.
-func TestSettleHoldsPreservedMtimes(t *testing.T) {
-	for _, mode := range []string{"polled", "watched"} {
+// TestSettleHoldsChangesNotServedDirs: with a settle window, a tracker
+// started on a tree copied a moment ago with old mtimes (tar x, rsync -a)
+// loads all of it at once. A later metadata-only change of a served
+// directory (chmod, touch, a hard link made by a backup) leaves the
+// directory served: it keeps its snapshot and raises no event until the
+// change settles, and is then re-ingested in place, not replayed against
+// its predecessor.
+func TestSettleHoldsChangesNotServedDirs(t *testing.T) {
+	for _, mode := range []string{"watched", "polled"} {
 		t.Run(mode, func(t *testing.T) {
 			root := t.TempDir()
-			writePEM(t, root, "Debian", "2020-01-01", trusted(t, 0))
-			dir := filepath.Join(root, "Debian", "2020-01-01")
+			seedTree(t, root)
 			old := time.Now().Add(-time.Hour)
-			for _, p := range []string{filepath.Join(dir, "tls-ca-bundle.pem"), dir} {
-				if err := os.Chtimes(p, old, old); err != nil {
-					t.Fatal(err)
+			err := filepath.WalkDir(root, func(p string, _ fs.DirEntry, err error) error {
+				if err != nil {
+					return err
 				}
+				return os.Chtimes(p, old, old)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			src := newWatchedSource(t, root, 10*time.Second)
-			if mode == "polled" {
-				src.poll = true
+			src.poll = mode == "polled"
+			trk, err := New(Config{Source: src})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if dirs, err := src.Scan(); err != nil || len(dirs) != 0 {
-				t.Fatalf("scan inside the settle window = (%v, %v), want nothing", keysOf(dirs), err)
+			if n, err := trk.Rescan(); err != nil || n != 3 {
+				t.Fatalf("initial rescan inside the settle window = (%d, %v), want all 3 snapshots", n, err)
 			}
+			served, events := trk.Database(), trk.Log().Len()
+
+			if err := os.Chmod(filepath.Join(root, "NSS", "2020-03-01", "certdata.txt"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := trk.Rescan(); err != nil || n != 0 {
+				t.Fatalf("rescan inside the window of a change = (%d, %v), want nothing", n, err)
+			}
+			if trk.Database() != served || trk.Log().Len() != events {
+				t.Fatal("a change inside the settle window replaced the served database or emitted events")
+			}
+
 			src.now = func() time.Time { return time.Now().Add(time.Minute) }
-			if dirs, err := src.Scan(); err != nil || len(dirs) != 1 {
-				t.Fatalf("scan after the settle window = (%v, %v), want Debian/2020-01-01", keysOf(dirs), err)
+			if n, err := trk.Rescan(); err != nil || n != 1 {
+				t.Fatalf("rescan after the change settled = (%d, %v), want 1", n, err)
+			}
+			if got := trk.Replay(Filter{Type: RootRemoved}); len(got) != 1 {
+				t.Fatalf("%d removal events after the change settled, want 1", len(got))
 			}
 		})
 	}

@@ -300,8 +300,16 @@ func (t *Tracker) Rescan() (int, error) {
 	ctx, trace := t.cfg.Tracer.Start(context.Background(), "tracker.rescan")
 	defer trace.End()
 
+	t.mu.Lock()
+	initial := t.db == nil
+	oldDB := t.db
+	t.mu.Unlock()
+
+	// The first load takes every non-empty directory, settled or not, as
+	// catalog.LoadTree does: a tree copied a moment ago still starts.
+	// Later scans hold back changes still inside the settle window.
 	_, scanSpan := obs.StartSpan(ctx, "tracker.scan")
-	dirs, err := t.cfg.Source.Scan()
+	dirs, err := t.cfg.Source.scan(initial)
 	scanSpan.End()
 	if err != nil {
 		trace.SetAttr("error", err.Error())
@@ -324,8 +332,6 @@ func (t *Tracker) Rescan() (int, error) {
 	// Scanned directories are distinct, so a seen one vanished exactly
 	// when fewer than all of them were scanned.
 	vanished := known < len(t.seen)
-	initial := t.db == nil
-	oldDB := t.db
 	t.mu.Unlock()
 
 	if len(changed) == 0 && !vanished && !initial {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/certdata"
 	"repro/internal/pemstore"
 	"repro/internal/store"
@@ -261,27 +262,69 @@ func TestModifiedInPlaceSnapshotDiffsAgainstServedState(t *testing.T) {
 	}
 }
 
+// TestDirSourceSettleWindow: a directory changed within the settle window
+// is held back, polled or watched. A new one is not reported until it
+// settles, even when copied with old mtimes (cp -p and rsync -t still move
+// every change time); one reported before keeps its last settled entry
+// while a later change — here a chmod, which moves only a change time —
+// settles.
 func TestDirSourceSettleWindow(t *testing.T) {
-	root := t.TempDir()
-	writePEM(t, root, "Debian", "2020-01-01", trusted(t, 0))
-	src := NewDirSource(root, time.Minute)
+	for _, tc := range []struct {
+		name           string
+		poll, oldTimes bool
+	}{
+		{"watched", false, false},
+		{"polled", true, false},
+		{"watched/old mtimes", false, true},
+		{"polled/old mtimes", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			writePEM(t, root, "Debian", "2020-01-01", trusted(t, 0))
+			dir := filepath.Join(root, "Debian", "2020-01-01")
+			bundle := filepath.Join(dir, "tls-ca-bundle.pem")
+			if tc.oldTimes {
+				old := time.Now().Add(-time.Hour)
+				for _, p := range []string{bundle, dir} {
+					if err := os.Chtimes(p, old, old); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			src := newWatchedSource(t, root, time.Minute)
+			src.poll = tc.poll
+			scan := func() []catalog.VersionDir {
+				t.Helper()
+				dirs, err := src.Scan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dirs
+			}
+			later := func() time.Time { return time.Now().Add(2 * time.Minute) }
 
-	dirs, err := src.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) != 0 {
-		t.Fatalf("fresh directory reported before settle window: %+v", dirs)
-	}
+			if dirs := scan(); len(dirs) != 0 {
+				t.Fatalf("fresh directory reported before settle window: %v", keysOf(dirs))
+			}
+			src.now = later
+			dirs := scan()
+			if len(dirs) != 1 || dirs[0].Key() != "Debian/2020-01-01" {
+				t.Fatalf("settled scan = %v", keysOf(dirs))
+			}
+			settled := dirs[0].Stamp
 
-	// Pretend a minute passed.
-	src.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
-	dirs, err = src.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) != 1 || dirs[0].Key() != "Debian/2020-01-01" {
-		t.Fatalf("settled scan = %+v", dirs)
+			src.now = time.Now
+			if err := os.Chmod(bundle, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if dirs := scan(); len(dirs) != 1 || dirs[0].Stamp != settled {
+				t.Fatalf("scan inside the window of a change = %v, want Debian/2020-01-01 as it settled", keysOf(dirs))
+			}
+			src.now = later
+			if dirs := scan(); len(dirs) != 1 || dirs[0].Stamp == settled {
+				t.Fatalf("scan after the change settled = %v, want Debian/2020-01-01 restamped", keysOf(dirs))
+			}
+		})
 	}
 }
 
