@@ -294,36 +294,40 @@ func TestCorruptedSectionsNeverPartiallyLoad(t *testing.T) {
 }
 
 func TestEqualDetectsDifferences(t *testing.T) {
-	base := func() *store.Database {
+	// base files three entries, after change edits them: filed entries
+	// are immutable.
+	base := func(change func([]*store.TrustEntry)) *store.Database {
 		db := store.NewDatabase()
 		snap := store.NewSnapshot("NSS", "v1", time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-		for _, e := range testcerts.Entries(3, store.ServerAuth) {
-			snap.Add(e.Clone())
+		entries := testcerts.Entries(3, store.ServerAuth)
+		change(entries)
+		for _, e := range entries {
+			snap.Add(e)
 		}
 		if err := db.AddSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
 		return db
 	}
-	a := base()
-	if err := Equal(a, base()); err != nil {
+	same := func([]*store.TrustEntry) {}
+	a := base(same)
+	if err := Equal(a, base(same)); err != nil {
 		t.Fatalf("identical databases unequal: %v", err)
 	}
 
-	b := base()
-	b.History("NSS").Latest().Entries()[0].SetTrust(store.CodeSigning, store.Trusted)
+	b := base(func(es []*store.TrustEntry) { es[0].SetTrust(store.CodeSigning, store.Trusted) })
 	if Equal(a, b) == nil {
 		t.Error("trust-level difference not detected")
 	}
 
-	c := base()
-	c.History("NSS").Latest().Entries()[1].SetDistrustAfter(store.ServerAuth, time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC))
+	c := base(func(es []*store.TrustEntry) {
+		es[1].SetDistrustAfter(store.ServerAuth, time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC))
+	})
 	if Equal(a, c) == nil {
 		t.Error("distrust-after difference not detected")
 	}
 
-	d := base()
-	d.History("NSS").Latest().Entries()[2].Label = "renamed"
+	d := base(func(es []*store.TrustEntry) { es[2].Label = "renamed" })
 	if Equal(a, d) == nil {
 		t.Error("label difference not detected")
 	}

@@ -157,26 +157,45 @@ func NewTreeDigest(root string) *TreeDigest {
 }
 
 // Reread digests one version directory again now, under the stamp the
-// scan that reported it gave. A caller about to re-parse the directory
+// scan that reported it gave, and reports whether its content digest is
+// the one remembered for it: a change of metadata alone (chmod, touch, a
+// hard link) leaves it so. A caller about to re-parse the directory
 // rereads it first, so a write landing between the two leaves the digest
 // older than the parse — a stale sidecar the next cold start catches —
 // never newer. A directory that cannot be read is forgotten, and read at
 // the next Hash.
-func (d *TreeDigest) Reread(v VersionDir) {
+func (d *TreeDigest) Reread(v VersionDir) (same bool) {
 	key := v.Key()
+	prev, had := d.dirs[key]
 	delete(d.saved, key)
 	d.dirty = true
 	dd, err := digestDir(v)
 	if err != nil {
 		delete(d.dirs, key)
-		return
+		return false
 	}
 	d.dirs[key] = dd
 	d.hashed++
+	return had && prev.sum == dd.sum
 }
 
 // Hashed reports how many directory digests the cache has computed.
 func (d *TreeDigest) Hashed() int { return d.hashed }
+
+// Save persists the digests Reread changed, as the next Hash would, for a
+// caller that hashes no tree after rereading: an unchanged digest under a
+// new stamp then spares the next cold start a read. An error only means
+// that shortcut is lost.
+func (d *TreeDigest) Save() error {
+	if !d.dirty || d.path == "" {
+		return nil
+	}
+	if err := d.save(); err != nil {
+		return err
+	}
+	d.dirty = false
+	return nil
+}
 
 // Hash scans the tree and returns its hash, reading only the version
 // directories whose digest is not remembered.

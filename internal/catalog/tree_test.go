@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"crypto/x509"
 	"os"
 	"path/filepath"
 	"testing"
@@ -238,5 +239,61 @@ func writePEMBundle(t *testing.T, dir string, entries []*store.TrustEntry) {
 	defer f.Close()
 	if err := pemstore.WriteBundle(f, entries); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNativeAndSidecarShareAlike: one tree loaded by the native parsers
+// and from its sidecar gives one database hash and the same entry
+// sharing: entries interned by value, one certificate per fingerprint.
+func TestNativeAndSidecarShareAlike(t *testing.T) {
+	root := t.TempDir()
+	entries := sampleEntries(t)
+	writeAll(t, root, entries)
+	// A second NSS release repeating the first: its entries are shared.
+	data, err := os.ReadFile(filepath.Join(root, "NSS", "2021-01-01", "certdata.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk(t, filepath.Join(root, "NSS", "2021-06-01"))
+	if err := os.WriteFile(filepath.Join(root, "NSS", "2021-06-01", "certdata.txt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type sharing struct{ entries, values, certs, distinct int }
+	measure := func(db *store.Database) ([archive.HashLen]byte, sharing) {
+		h, err := archive.HashDatabase(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs, certs := map[*store.TrustEntry]bool{}, map[*x509.Certificate]bool{}
+		var sh sharing
+		for _, s := range db.AllSnapshots() {
+			s.Each(func(e *store.TrustEntry) { sh.entries++; ptrs[e], certs[e.Cert] = true, true })
+		}
+		sh.values, sh.certs, sh.distinct = len(ptrs), len(certs), len(db.DistinctEntries())
+		return h, sh
+	}
+
+	native, err := LoadTree(root, Options{Archive: ArchiveOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadTreeInfo(root, Options{}); err != nil { // compiles the sidecar
+		t.Fatal(err)
+	}
+	packed, info, err := LoadTreeInfo(root, Options{})
+	if err != nil || !info.FromArchive {
+		t.Fatalf("sidecar load: fromArchive=%v err=%v", info != nil && info.FromArchive, err)
+	}
+	hn, sn := measure(native)
+	hp, sp := measure(packed)
+	if hn != hp {
+		t.Fatalf("database hash %x natively, %x from the sidecar", hn[:8], hp[:8])
+	}
+	if sn != sp {
+		t.Fatalf("sharing %+v natively, %+v from the sidecar", sn, sp)
+	}
+	if sn.certs != len(entries) || sn.distinct != len(entries) || sn.values >= sn.entries-len(entries) {
+		t.Fatalf("sharing %+v: want %d certificates and the repeated release's entries shared", sn, len(entries))
 	}
 }

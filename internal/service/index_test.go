@@ -157,9 +157,11 @@ func TestIndexConcurrentFirstReads(t *testing.T) {
 
 // TestCorpusHeapBudget bounds the live heap of the default corpus (820
 // snapshots, 161,875 entries over 401 roots) plus a Server over it that
-// has answered a health check: per-entry trust arrays, snapshots without
-// fingerprint maps and an index built per root keep it near 20 MB, where
-// per-entry trust maps, per-snapshot maps and an eager index held 56 MB.
+// has answered a health check: entries interned by value (730 structs
+// shared by every snapshot that holds them), snapshots without
+// fingerprint maps and an index built per root keep it near 5 MB. A
+// struct per (snapshot, root) held 19.4 MB; per-entry trust maps,
+// per-snapshot maps and an eager index held 56 MB.
 func TestCorpusHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates every allocation")
@@ -167,7 +169,7 @@ func TestCorpusHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus generation skipped in -short mode")
 	}
-	const budgetMB = 28
+	const budgetMB = 8
 	before := liveHeap()
 	eco, err := synth.Generate("tracing-your-roots")
 	if err != nil {

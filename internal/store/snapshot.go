@@ -34,7 +34,7 @@ type Snapshot struct {
 	// bitsMu guards the memoized trusted bitsets and the attached
 	// interner. The cache is invalidated by Add/Remove and by attachment
 	// to a different interner; entries themselves are immutable once
-	// added (by the same convention that shares *x509.Certificate).
+	// filed (see the package doc).
 	bitsMu      sync.RWMutex
 	interner    *Interner
 	trustedBits [numPurposes]*bitset.Set
@@ -102,6 +102,12 @@ func (s *Snapshot) EntryByFingerprint(sha256 string) (*TrustEntry, bool) {
 
 // Len returns the number of entries.
 func (s *Snapshot) Len() int { return len(s.entries) }
+
+// SameEntries reports whether s and o hold the same entries by value: the
+// same fingerprints, labels, trust levels and partial-distrust dates.
+func (s *Snapshot) SameEntries(o *Snapshot) bool {
+	return slices.EqualFunc(s.entries, o.entries, (*TrustEntry).sameValue)
+}
 
 // Entries returns the entries sorted by fingerprint. The returned slice is
 // fresh; entries are shared.
@@ -232,11 +238,12 @@ func (s *Snapshot) ExpiredCount(p Purpose) int {
 func (s *Snapshot) Clone() *Snapshot { return s.copyWith((*TrustEntry).Clone) }
 
 // ShareClone returns a fresh snapshot shell sharing the receiver's entry
-// pointers. Entries are immutable once ingested (the convention that already
-// shares *x509.Certificate), so sharing lets an incremental reload splice
-// unchanged snapshots into a new database without re-parsing anything —
-// while the fresh shell keeps the new database's interner attachment and
-// bitset memos from mutating the generation still being served.
+// pointers. Filed entries are immutable, so sharing lets an incremental
+// reload splice unchanged snapshots into a new database without re-parsing
+// anything — while the fresh shell keeps the new database's interner
+// attachment and bitset memos from mutating the generation still being
+// served. Filing the shell interns each shared value once; every later
+// entry of that value costs one pointer-keyed map lookup.
 func (s *Snapshot) ShareClone() *Snapshot {
 	return s.copyWith(func(e *TrustEntry) *TrustEntry { return e })
 }
@@ -275,9 +282,11 @@ func (h *History) Append(s *Snapshot) error {
 		return fmt.Errorf("store: snapshot provider %q does not match history %q", s.Provider, h.Provider)
 	}
 	h.snapshots = append(h.snapshots, s)
-	sort.SliceStable(h.snapshots, func(i, j int) bool {
-		return h.snapshots[i].Date.Before(h.snapshots[j].Date)
-	})
+	if n := len(h.snapshots); n > 1 && s.Date.Before(h.snapshots[n-2].Date) {
+		sort.SliceStable(h.snapshots, func(i, j int) bool {
+			return h.snapshots[i].Date.Before(h.snapshots[j].Date)
+		})
+	}
 	return nil
 }
 
@@ -376,11 +385,12 @@ func (h *History) FirstTrusted(fp certutil.Fingerprint, p Purpose) (time.Time, b
 type Database struct {
 	histories map[string]*History
 	interner  *Interner
+	entries   entryTable
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	return &Database{histories: make(map[string]*History), interner: NewInterner()}
+	return &Database{histories: make(map[string]*History), interner: NewInterner(), entries: newEntryTable()}
 }
 
 // Interner returns the database's fingerprint interner. Every snapshot
@@ -389,7 +399,10 @@ func NewDatabase() *Database {
 func (db *Database) Interner() *Interner { return db.interner }
 
 // AddSnapshot files a snapshot under its provider, creating the history on
-// first use.
+// first use. Filing interns the snapshot's entries: each is replaced by
+// the database's canonical entry of its value, and every entry passed in
+// becomes immutable (see the package doc). So does the snapshot's
+// membership.
 func (db *Database) AddSnapshot(s *Snapshot) error {
 	h, ok := db.histories[s.Provider]
 	if !ok {
@@ -399,6 +412,7 @@ func (db *Database) AddSnapshot(s *Snapshot) error {
 	if err := h.Append(s); err != nil {
 		return err
 	}
+	db.entries.file(s)
 	s.attachInterner(db.interner)
 	return nil
 }
@@ -436,36 +450,18 @@ func (db *Database) AllSnapshots() []*Snapshot {
 
 // DistinctEntries returns one entry per distinct certificate the database
 // holds, sorted by fingerprint: the first entry met walking the snapshots
-// in AllSnapshots order. The walk copies no entry list and dedupes by
-// interned ID under the interner's read lock: one map lookup per
-// (snapshot, root) pair, then a sort of the distinct certificates.
+// in AllSnapshots order. It reads the table AddSnapshot keeps, so its cost
+// is the number of certificates, not of (snapshot, root) pairs. Each
+// certificate's fingerprint is interned, as TrustedBits would.
 func (db *Database) DistinctEntries() []*TrustEntry {
-	in := db.interner
-	var out []*TrustEntry
-	in.mu.RLock()
-	seen := make([]bool, len(in.fps))
-	visit := func(e *TrustEntry) {
-		id, ok := in.ids[e.Fingerprint]
-		if !ok {
-			// Not interned yet: intern it (once per distinct
-			// certificate, so the lock dance stays off the common path).
-			in.mu.RUnlock()
-			id = in.ID(e.Fingerprint)
-			in.mu.RLock()
-			seen = append(seen, make([]bool, len(in.fps)-len(seen))...)
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, e)
-		}
+	out := make([]*TrustEntry, 0, len(db.entries.certs))
+	for _, r := range db.entries.certs {
+		out = append(out, r.first)
 	}
-	for _, p := range db.Providers() {
-		for _, s := range db.histories[p].snapshots {
-			s.Each(visit)
-		}
-	}
-	in.mu.RUnlock()
 	slices.SortFunc(out, func(a, b *TrustEntry) int { return a.Fingerprint.Compare(b.Fingerprint) })
+	for _, e := range out {
+		db.interner.ID(e.Fingerprint)
+	}
 	return out
 }
 

@@ -10,6 +10,18 @@
 // constraints (PEM bundles, JKS, node_root_certs.h) simply produce entries
 // whose every purpose is plainly Trusted — which is exactly the fidelity
 // loss §6 of the paper investigates.
+//
+// Filing a snapshot in a Database (Database.AddSnapshot) hands its entries
+// over to the database, which swaps each for the one canonical entry of
+// its value: entries equal in fingerprint, label, trust levels and
+// partial-distrust dates are one *TrustEntry, and entries with one
+// fingerprint share one DER and one parsed certificate. A filed entry may
+// therefore sit in many snapshots, of this database and of any database
+// that shares its snapshots (Snapshot.ShareClone), so it is immutable:
+// SetTrust and SetDistrustAfter panic on it, and its exported fields must
+// not be written either. Nor may a filed snapshot gain or lose entries
+// (Snapshot.Add, Snapshot.Remove). To derive a changed store, Clone the
+// snapshot or entry, change the copy, and file that.
 package store
 
 import (
@@ -106,6 +118,10 @@ type TrustEntry struct {
 	// fixed array, so an entry costs no allocation beyond itself. It is
 	// read and written only through TrustFor, TrustedFor and SetTrust.
 	trust [numPurposes]TrustLevel
+	// filed is set once the entry has been filed in a Database, after
+	// which it is immutable. It sits in the padding after trust, so an
+	// entry stays 96 bytes.
+	filed bool
 	// DistrustAfter holds NSS-style partial distrust: certificates issued
 	// by this root after the date are not trusted for the purpose, while
 	// earlier issuance remains trusted (CKA_NSS_SERVER_DISTRUST_AFTER).
@@ -150,19 +166,30 @@ func (e *TrustEntry) TrustFor(p Purpose) TrustLevel {
 }
 
 // SetTrust records a trust level for a purpose. A purpose outside
-// AllPurposes has no slot and is ignored.
+// AllPurposes has no slot and is ignored. It panics on a filed entry.
 func (e *TrustEntry) SetTrust(p Purpose, l TrustLevel) {
+	e.mustBeUnfiled("SetTrust")
 	if p < numPurposes {
 		e.trust[p] = l
 	}
 }
 
-// SetDistrustAfter records a partial-distrust date for a purpose.
+// SetDistrustAfter records a partial-distrust date for a purpose. It
+// panics on a filed entry.
 func (e *TrustEntry) SetDistrustAfter(p Purpose, t time.Time) {
+	e.mustBeUnfiled("SetDistrustAfter")
 	if e.DistrustAfter == nil {
 		e.DistrustAfter = make(map[Purpose]time.Time)
 	}
 	e.DistrustAfter[p] = t
+}
+
+// mustBeUnfiled panics if the entry has been filed in a Database: other
+// snapshots may share it, so a change would leak into all of them.
+func (e *TrustEntry) mustBeUnfiled(op string) {
+	if e.filed {
+		panic("store: " + op + " on filed entry " + e.Fingerprint.Short() + "; Clone it first")
+	}
 }
 
 // DistrustAfterFor returns the partial-distrust date for a purpose, if any.
@@ -177,7 +204,7 @@ func (e *TrustEntry) DistrustAfterFor(p Purpose) (time.Time, bool) {
 func (e *TrustEntry) TrustedFor(p Purpose) bool { return e.TrustFor(p) == Trusted }
 
 // Clone deep-copies the entry (the parsed certificate is shared; it is
-// immutable by convention).
+// immutable by convention). The copy is unfiled, so it may be changed.
 func (e *TrustEntry) Clone() *TrustEntry {
 	c := &TrustEntry{
 		DER:         append([]byte(nil), e.DER...),

@@ -460,30 +460,51 @@ func TestSetDiff(t *testing.T) {
 	}
 }
 
-// TestDatabaseDistinctEntries checks the distinct-certificate walk: one
-// entry per fingerprint, sorted, the first met in AllSnapshots order,
-// including entries added after their snapshot was filed (not yet
-// interned), and Each visiting a snapshot's entries in order.
+// TestDatabaseDistinctEntries checks the distinct-certificate table: one
+// entry per fingerprint, sorted, the first met in AllSnapshots order
+// whatever order the snapshots were filed in, and Each visiting a
+// snapshot's entries in order.
 func TestDatabaseDistinctEntries(t *testing.T) {
 	rs := roots(t, 6)
 	db := NewDatabase()
-	a := NewSnapshot("Alpha", "1", date(2020, 1, 1))
-	b := NewSnapshot("Beta", "1", date(2020, 1, 1))
+	a := NewSnapshot("Alpha", "2", date(2020, 1, 1))
+	b := NewSnapshot("Beta", "1", date(2019, 1, 1))
 	firstOf := map[int]*TrustEntry{}
 	for i := 0; i < 4; i++ {
 		e := entry(t, rs[i], ServerAuth)
 		firstOf[i] = e // Alpha sorts first, so its entries are met first
 		a.Add(e)
-		b.Add(entry(t, rs[i+1], EmailProtection))
+		e = entry(t, rs[i+1], EmailProtection)
+		if i == 3 {
+			firstOf[4] = e // Beta alone holds root 4
+		}
+		b.Add(e)
 	}
-	for _, s := range []*Snapshot{a, b} {
+	// Alpha@1 is filed last but dated first: its entry for root 0 is the
+	// one met first.
+	early := NewSnapshot("Alpha", "1", date(2019, 6, 1))
+	firstOf[0] = entry(t, rs[0], ServerAuth)
+	firstOf[0].Label = "early"
+	early.Add(firstOf[0])
+	// Root 5 appears in two Beta snapshots of one date; the one filed
+	// first is met first.
+	for _, v := range []string{"1a", "1b"} {
+		twin := NewSnapshot("Beta", v, date(2019, 1, 1))
+		e := entry(t, rs[5], ServerAuth)
+		e.Label = v
+		if v == "1a" {
+			firstOf[5] = e
+		}
+		twin.Add(e)
+		if err := db.AddSnapshot(twin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range []*Snapshot{b, a, early} {
 		if err := db.AddSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	late := entry(t, rs[5], ServerAuth)
-	b.Add(late) // after filing: its fingerprint is not interned yet
-	firstOf[5] = late
 
 	got := db.DistinctEntries()
 	if len(got) != 6 {
@@ -504,6 +525,9 @@ func TestDatabaseDistinctEntries(t *testing.T) {
 		if !found {
 			t.Errorf("root %d: distinct entry is not the first met", i)
 		}
+	}
+	if in := db.Interner(); in.Len() != 6 {
+		t.Errorf("DistinctEntries interned %d fingerprints, want 6", in.Len())
 	}
 
 	var walked []*TrustEntry

@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -138,4 +139,82 @@ func TestRunWakesOnChange(t *testing.T) {
 	waitIngest("2020-03-01") // the initial ingest, replayed by Run's first rescan
 	writePEM(t, root, "Debian", "2020-06-01", trusted(t, 1))
 	waitIngest("2020-06-01")
+}
+
+// TestArchiveOffDigestsNothing: with sidecars off no tree hash is ever
+// taken, so ingesting a new directory reads its files for the parse
+// alone, never for a digest.
+func TestArchiveOffDigestsNothing(t *testing.T) {
+	root := t.TempDir()
+	seedTree(t, root)
+	trk := newTestTracker(t, root, func(c *Config) { c.Catalog.Archive = catalog.ArchiveOff })
+	if _, err := trk.Rescan(); err != nil {
+		t.Fatal(err)
+	}
+	writePEM(t, root, "Debian", "2020-05-01", trusted(t, 1, 2))
+	if n, err := trk.Rescan(); err != nil || n != 1 {
+		t.Fatalf("rescan = %d, %v; want 1", n, err)
+	}
+	if got := metric(trk, "trustd_tracker_dirs_digested_total"); got != 0 {
+		t.Fatalf("%v directories digested with sidecars off, want 0", got)
+	}
+}
+
+// TestMetadataOnlyChangeEmitsNothing: a chmod and a touch move a served
+// directory's stamp but not its content. The served generation stands
+// and no event is logged. With a sidecar the unchanged content digest
+// proves it without a parse and is saved under its new stamp; with
+// sidecars off the re-parsed snapshot equals the served one by value.
+func TestMetadataOnlyChangeEmitsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  catalog.ArchiveMode
+		parse int
+	}{{"sidecar", catalog.ArchiveAuto, 0}, {"archive-off", catalog.ArchiveOff, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			seedTree(t, root)
+			tr := quietTracer()
+			swaps := 0
+			trk := newTestTracker(t, root, func(c *Config) {
+				c.Catalog.Archive = tc.mode
+				c.Tracer = tr
+				c.OnReload = func(*store.Database) { swaps++ }
+			})
+			if _, err := trk.Rescan(); err != nil {
+				t.Fatal(err)
+			}
+			served, events := trk.Database(), trk.Log().Len()
+			digests := filepath.Join(root, catalog.DefaultArchiveName+".digests")
+			saved, _ := os.ReadFile(digests)
+			file := filepath.Join(root, "NSS", "2020-03-01", "certdata.txt")
+			for _, change := range []func() error{
+				func() error { return os.Chmod(file, 0o600) },
+				func() error { later := time.Now().Add(time.Minute); return os.Chtimes(file, later, later) },
+			} {
+				if err := change(); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := trk.Rescan(); err != nil || n != 0 {
+					t.Fatalf("rescan = (%d, %v), want no re-ingest", n, err)
+				}
+				if got := parsedSnapshots(tr.Recent(1)[0]); len(got) != tc.parse {
+					t.Fatalf("rescan parsed %v, want %d snapshots", got, tc.parse)
+				}
+				// The reread digest is saved under its new stamp.
+				now, _ := os.ReadFile(digests)
+				if tc.mode != catalog.ArchiveOff && string(now) == string(saved) {
+					t.Fatal("the reread digest's new stamp was not saved")
+				}
+				saved = now
+			}
+			if trk.Database() != served || trk.Log().Len() != events || swaps != 1 {
+				t.Fatalf("metadata-only changes swapped %d times in all and logged %d events, want 1 and %d",
+					swaps, trk.Log().Len(), events)
+			}
+			if n, err := trk.Rescan(); err != nil || n != 0 {
+				t.Fatalf("quiet rescan = (%d, %v), want nothing", n, err)
+			}
+		})
+	}
 }

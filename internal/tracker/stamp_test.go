@@ -99,8 +99,9 @@ func TestEmptyVersionDirAtStart(t *testing.T) {
 // loads all of it at once. A later metadata-only change of a served
 // directory (chmod, touch, a hard link made by a backup) leaves the
 // directory served: it keeps its snapshot and raises no event until the
-// change settles, and is then re-ingested in place, not replayed against
-// its predecessor.
+// change settles, and once settled its unchanged content digest keeps the
+// served generation too — no re-ingest, no event, nothing replayed
+// against its predecessor.
 func TestSettleHoldsChangesNotServedDirs(t *testing.T) {
 	for _, mode := range []string{"watched", "polled"} {
 		t.Run(mode, func(t *testing.T) {
@@ -138,8 +139,11 @@ func TestSettleHoldsChangesNotServedDirs(t *testing.T) {
 			}
 
 			src.now = func() time.Time { return time.Now().Add(time.Minute) }
-			if n, err := trk.Rescan(); err != nil || n != 1 {
-				t.Fatalf("rescan after the change settled = (%d, %v), want 1", n, err)
+			if n, err := trk.Rescan(); err != nil || n != 0 {
+				t.Fatalf("rescan after the change settled = (%d, %v), want no re-ingest", n, err)
+			}
+			if trk.Database() != served || trk.Log().Len() != events {
+				t.Fatal("a settled metadata-only change replaced the served database or emitted events")
 			}
 			if got := trk.Replay(Filter{Type: RootRemoved}); len(got) != 1 {
 				t.Fatalf("%d removal events after the change settled, want 1", len(got))
@@ -152,11 +156,12 @@ func TestSettleHoldsChangesNotServedDirs(t *testing.T) {
 // files into a new version directory (how trustbench's reload workload
 // adds its NSS copy) moves the linked files' change times in the source
 // directory too. inotify raises no event there, so a watched tree
-// re-parses the copy alone; a polled one re-parses the source as well.
+// digests the copy alone; a polled one digests the source as well, finds
+// its content unchanged and re-parses only the copy.
 func TestHardLinkedCopyOnlyWatchedSeesTheCopy(t *testing.T) {
 	for _, tc := range []struct {
-		mode    string
-		reparse int
+		mode   string
+		digest float64
 	}{{"watched", 1}, {"polled", 2}} {
 		t.Run(tc.mode, func(t *testing.T) {
 			if tc.mode == "watched" && runtime.GOOS != "linux" {
@@ -184,11 +189,15 @@ func TestHardLinkedCopyOnlyWatchedSeesTheCopy(t *testing.T) {
 			if err := os.Rename(staged, filepath.Join(root, "NSS", "2020-02-01")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := trk.Rescan(); err != nil {
-				t.Fatal(err)
+			before := metric(trk, "trustd_tracker_dirs_digested_total")
+			if n, err := trk.Rescan(); err != nil || n != 1 {
+				t.Fatalf("rescan = (%d, %v), want the copy ingested", n, err)
 			}
-			if got := parsedSnapshots(tr.Recent(1)[0]); len(got) != tc.reparse {
-				t.Fatalf("rescan parsed %v, want %d snapshots", got, tc.reparse)
+			if got := parsedSnapshots(tr.Recent(1)[0]); len(got) != 1 || got[0] != "NSS/2020-02-01" {
+				t.Fatalf("rescan parsed %v, want the copy alone", got)
+			}
+			if got := metric(trk, "trustd_tracker_dirs_digested_total") - before; got != tc.digest {
+				t.Fatalf("rescan digested %v directories, want %v", got, tc.digest)
 			}
 		})
 	}

@@ -349,6 +349,7 @@ func (t *Tracker) Rescan() (int, error) {
 
 	var newDB *store.Database
 	var dbHash [archive.HashLen]byte
+	var reparsed map[dirKey]*store.Snapshot // nil on the cold start, which takes every directory
 	lctx, loadSpan := obs.StartSpan(ctx, "tracker.load")
 	if initial {
 		// Cold start: the catalog loads exactly the directories the scan
@@ -362,7 +363,7 @@ func (t *Tracker) Rescan() (int, error) {
 		}
 	} else {
 		loadSpan.SetAttr("mode", "splice")
-		newDB, dbHash, err = t.spliceReload(lctx, dirs, changed, oldDB)
+		newDB, dbHash, reparsed, err = t.spliceReload(lctx, dirs, changed, vanished, oldDB)
 	}
 	if t.digest != nil {
 		t.digested.Store(int64(t.digest.Hashed()))
@@ -376,6 +377,15 @@ func (t *Tracker) Rescan() (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
+	if newDB == nil {
+		// Only metadata moved: the served generation stands, and the
+		// new stamps are remembered so the next scan passes quietly.
+		for _, d := range changed {
+			t.seen[keyOf(d)] = d.Stamp
+		}
+		trace.SetAttr("events", "0")
+		return 0, nil
+	}
 	if vanished {
 		present := make(map[dirKey]bool, len(dirs))
 		for _, d := range dirs {
@@ -390,6 +400,10 @@ func (t *Tracker) Rescan() (int, error) {
 
 	ingests := make([]ingest, 0, len(changed))
 	for _, d := range changed {
+		if reparsed != nil && reparsed[keyOf(d)] == nil {
+			t.seen[keyOf(d)] = d.Stamp // its content is what was served
+			continue
+		}
 		snap := snapshotByVersion(newDB, d.Provider, d.Version)
 		if snap == nil {
 			// The directory vanished between scan and reload; next scan
@@ -461,48 +475,85 @@ func (t *Tracker) finishReload(start time.Time, emitted int, trace, classifySpan
 // changed snapshot directories and sharing every other snapshot with the
 // previous generation. Sharing goes through ShareClone so the new
 // generation's interner attachment and bitset memos never touch snapshots
-// the old generation is still serving. It returns the generation's
-// database hash when the sidecar refresh yielded it (zero otherwise).
-// Callers hold rescanMu.
-func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []catalog.VersionDir, oldDB *store.Database) (*store.Database, [archive.HashLen]byte, error) {
+// the old generation is still serving.
+//
+// A changed directory whose snapshot turns out unchanged — the same date
+// and the same entries by value, after a chmod, touch or hard link — is
+// shared too, and left out of the returned reparsed set. Where a content
+// digest of it is remembered, an unchanged digest proves that without a
+// parse. When nothing changed and nothing vanished, no generation is
+// built: the returned database is nil and the served one stands.
+//
+// It returns the generation's database hash when the sidecar refresh
+// yielded it (zero otherwise). Callers hold rescanMu.
+func (t *Tracker) spliceReload(ctx context.Context, dirs, changed []catalog.VersionDir, vanished bool, oldDB *store.Database) (*store.Database, [archive.HashLen]byte, map[dirKey]*store.Snapshot, error) {
 	var dbHash [archive.HashLen]byte
-	if t.digest == nil {
+	if t.digest == nil && t.cfg.Catalog.Archive != catalog.ArchiveOff {
 		t.digest = catalog.NewTreeDigest(t.cfg.Source.Root())
 	}
-	changedKeys := make(map[dirKey]bool, len(changed))
-	for _, d := range changed {
-		changedKeys[keyOf(d)] = true
+	// parse rereads d's digest, then parses it: digest first, so the
+	// sidecar's tree hash never describes newer content than the parse
+	// (see catalog.TreeDigest). It returns old itself when d still holds
+	// old's snapshot. No digest is kept under ArchiveOff, where no
+	// sidecar is written.
+	parse := func(d catalog.VersionDir, old *store.Snapshot) (*store.Snapshot, error) {
+		if t.digest != nil && t.digest.Reread(d) && old != nil && old.Date.Equal(d.Date) {
+			return old, nil
+		}
+		snap, _, err := catalog.LoadDirCtx(ctx, d, t.cfg.Catalog)
+		if err != nil {
+			return nil, fmt.Errorf("tracker: %s: %w", d.Key(), err)
+		}
+		if old != nil && old.Date.Equal(snap.Date) && old.Kind == snap.Kind && old.SameEntries(snap) {
+			return old, nil
+		}
+		return snap, nil
 	}
+	reparsed := make(map[dirKey]*store.Snapshot, len(changed))
+	for _, d := range changed {
+		old := snapshotByVersion(oldDB, d.Provider, d.Version)
+		snap, err := parse(d, old)
+		if err != nil {
+			return nil, dbHash, nil, err
+		}
+		if snap != old {
+			reparsed[keyOf(d)] = snap
+		}
+	}
+	if len(reparsed) == 0 && !vanished {
+		// Keep the rereads' new stamps, so the next cold start trusts
+		// the digests instead of reading the directories again.
+		if t.digest != nil {
+			if err := t.digest.Save(); err != nil {
+				t.cfg.Logger.Warn("saving directory digests failed", "err", err)
+			}
+		}
+		return nil, dbHash, nil, nil
+	}
+
 	newDB := store.NewDatabase()
+	var err error
 	for _, d := range dirs {
-		var snap *store.Snapshot
-		if !changedKeys[keyOf(d)] && oldDB != nil {
+		snap := reparsed[keyOf(d)]
+		if snap == nil {
 			if old := snapshotByVersion(oldDB, d.Provider, d.Version); old != nil {
 				snap = old.ShareClone()
+			} else if snap, err = parse(d, nil); err != nil {
+				return nil, dbHash, nil, err
 			}
-		}
-		if snap == nil {
-			// Digest first: the sidecar's tree hash must never describe
-			// newer content than this parse (see catalog.TreeDigest).
-			t.digest.Reread(d)
-			s, _, err := catalog.LoadDirCtx(ctx, d, t.cfg.Catalog)
-			if err != nil {
-				return nil, dbHash, fmt.Errorf("tracker: %s: %w", d.Key(), err)
-			}
-			snap = s
 		}
 		if err := newDB.AddSnapshot(snap); err != nil {
-			return nil, dbHash, err
+			return nil, dbHash, nil, err
 		}
 	}
 	// Keep the next cold start fast: recompile the sidecar from the spliced
 	// database (best-effort; no-op under ArchiveOff). Only the changed
 	// directories are hashed again.
-	dbHash, err := catalog.RefreshArchiveDigestCtx(ctx, t.cfg.Source.Root(), dirs, newDB, t.digest, t.cfg.Catalog)
+	dbHash, err = catalog.RefreshArchiveDigestCtx(ctx, t.cfg.Source.Root(), dirs, newDB, t.digest, t.cfg.Catalog)
 	if err != nil {
 		t.cfg.Logger.Warn("sidecar archive refresh failed", "err", err)
 	}
-	return newDB, dbHash, nil
+	return newDB, dbHash, reparsed, nil
 }
 
 // eventsFor builds the classified event batch for one new snapshot.
