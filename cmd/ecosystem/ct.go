@@ -10,13 +10,9 @@ package main
 // Usage:
 //
 //	ecosystem ct [-seed s | -tree dir]
-//	ecosystem ct -smoke
 //
 // With -tree, the stores come from a snapshot tree (cmd/synthgen
 // -ecosystems writes one) and operators from its ct-log-list.json manifest.
-// -smoke runs the hermetic self-test CI uses: generate → write native
-// trees → ingest via format detection → compile and re-read the rootpack
-// archive → assert the kinds and the divergence structure survived.
 
 import (
 	"flag"
@@ -26,14 +22,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/catalog"
-	"repro/internal/certdata"
 	"repro/internal/core"
 	"repro/internal/ctlog"
-	"repro/internal/manifest"
 	"repro/internal/report"
-	"repro/internal/setdist"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -42,16 +34,7 @@ func runCT(args []string) int {
 	fs := flag.NewFlagSet("ecosystem ct", flag.ExitOnError)
 	seed := fs.String("seed", "tracing-your-roots", "synthetic corpus seed (ignored with -tree)")
 	tree := fs.String("tree", "", "load stores from a snapshot tree instead of generating")
-	smoke := fs.Bool("smoke", false, "run the hermetic ingest/archive/report self-test and exit")
 	fs.Parse(args)
-
-	if *smoke {
-		if err := ctSmoke(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ecosystem ct -smoke: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	var db *store.Database
 	operators := make(map[string]string)
@@ -182,119 +165,4 @@ func sortedKeys(m map[string][2]float64) []string {
 		}
 	}
 	return out
-}
-
-// ctSmoke is the hermetic self-test: synthetic ecosystem corpus → native
-// files on disk → format-detected ingest → rootpack archive round trip →
-// divergence structure. Everything a CI runner needs to trust the non-TLS
-// pipeline end to end, with no network and no fixtures.
-func ctSmoke(w io.Writer) error {
-	eco, err := synth.GenerateWithEcosystems("ct-smoke")
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "ct-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	// Write the ecosystem providers plus NSS (the browser reference point)
-	// in their native formats.
-	want := map[string]store.Kind{"NSS": store.KindTLS}
-	for name, kind := range synth.EcosystemProviders() {
-		want[name] = kind
-	}
-	orig := make(map[string]*store.Snapshot)
-	for name := range want {
-		s := eco.DB.History(name).Latest()
-		orig[name] = s
-		vdir := filepath.Join(dir, name, s.Version)
-		if err := os.MkdirAll(vdir, 0o755); err != nil {
-			return err
-		}
-		switch s.Kind.Normalize() {
-		case store.KindCT:
-			err = ctlog.WriteDir(vdir, s.Entries())
-		case store.KindManifest:
-			err = manifest.WriteDir(vdir, manifest.FromEntries(name, s.Entries()))
-		default:
-			var f *os.File
-			if f, err = os.Create(filepath.Join(vdir, "certdata.txt")); err == nil {
-				err = certdata.Marshal(f, s.Entries())
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("write %s: %w", name, err)
-		}
-	}
-
-	// Ingest through format detection; ArchiveAuto compiles the sidecar.
-	db, info, err := catalog.LoadTreeInfo(dir, catalog.Options{})
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	if info.FromArchive {
-		return fmt.Errorf("first load came from an archive that should not exist yet")
-	}
-	for name, kind := range want {
-		h := db.History(name)
-		if h == nil || h.Len() == 0 {
-			return fmt.Errorf("ingest lost provider %s", name)
-		}
-		s := h.Latest()
-		if got := s.Kind.Normalize(); got != kind {
-			return fmt.Errorf("%s: ingested kind %q, want %q", name, got, kind)
-		}
-		if d := setdist.SnapshotJaccard(orig[name], s, store.ServerAuth); d != 0 {
-			return fmt.Errorf("%s: trusted set changed through ingest (distance %f)", name, d)
-		}
-	}
-
-	// The compiled archive must reproduce the database bit-for-bit,
-	// ecosystem kinds included.
-	adb, err := archive.ReadFile(info.ArchivePath)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := archive.Equal(db, adb); err != nil {
-		return fmt.Errorf("archive round trip: %w", err)
-	}
-
-	// The divergence structure the report prints must hold on the ingested
-	// data: CT far from NSS, same-operator logs identical, manifest
-	// near-disjoint.
-	rep := core.New(db).EcosystemDivergence()
-	for _, row := range rep.Rows {
-		switch row.Kind {
-		case store.KindCT:
-			if row.Distance < 0.25 {
-				return fmt.Errorf("%s vs %s: distance %.3f < 0.25", row.Provider, row.Store, row.Distance)
-			}
-		case store.KindManifest:
-			if row.Distance < 0.9 {
-				return fmt.Errorf("%s vs %s: distance %.3f < 0.9", row.Provider, row.Store, row.Distance)
-			}
-		}
-	}
-	operator := make(map[string]string)
-	for _, lg := range synth.CTLogs() {
-		operator[lg.Name] = lg.Operator
-	}
-	for _, pair := range rep.Pairs[store.KindCT] {
-		same := operator[pair.A] == operator[pair.B]
-		if same && pair.Distance > 0.01 {
-			return fmt.Errorf("same-operator %s/%s: distance %.3f", pair.A, pair.B, pair.Distance)
-		}
-		if !same && pair.Distance < 0.1 {
-			return fmt.Errorf("cross-operator %s/%s: distance %.3f", pair.A, pair.B, pair.Distance)
-		}
-	}
-
-	fmt.Fprintf(w, "ecosystem ct -smoke: ok (%d providers ingested, archive %s round-tripped, %d divergence rows)\n",
-		len(want), filepath.Base(info.ArchivePath), len(rep.Rows))
-	return nil
 }

@@ -8,13 +8,6 @@
 //	loadgen -url http://host:8080 -rps 500 -duration 30s \
 //	        -mix read=45,verify=35,batch=5,watch=5,simulate=10 \
 //	        -chain leaf.pem -stores NSS,Debian -json out.json
-//
-//	loadgen -smoke -json BENCH_10.json
-//
-// -smoke needs no server: it boots an in-process trustd on a loopback
-// listener, runs the mixed workload across a mid-run generation swap,
-// and fails on any 5xx, transport error, shed arrival, mixed-generation
-// verdict, histogram-layout drift, or unresolvable exemplar.
 package main
 
 import (
@@ -31,7 +24,6 @@ import (
 
 func main() {
 	var (
-		smokeMode   = flag.Bool("smoke", false, "hermetic self-test against an in-process trustd")
 		url         = flag.String("url", "", "trustd base URL (e.g. http://127.0.0.1:8080)")
 		rps         = flag.Float64("rps", 100, "target offered request rate")
 		duration    = flag.Duration("duration", 10*time.Second, "run length")
@@ -48,11 +40,8 @@ func main() {
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	if *smokeMode {
-		os.Exit(runSmoke(logger, *jsonPath))
-	}
 	if *url == "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -url required (or -smoke)")
+		fmt.Fprintln(os.Stderr, "loadgen: -url required")
 		os.Exit(2)
 	}
 

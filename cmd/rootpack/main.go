@@ -7,7 +7,6 @@
 //	rootpack build -tree DIR [-o FILE]     compile a snapshot tree
 //	rootpack inspect FILE [-json]          sections, dedup ratio, providers
 //	rootpack verify FILE                   checksums + lossless round-trip
-//	rootpack -smoke                        hermetic self-test (CI)
 //
 // build ingests the tree with the shared catalog parsers and writes the
 // archive atomically (default <tree>/.rootpack — the sidecar location the
@@ -29,18 +28,11 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/catalog"
-	"repro/internal/pemstore"
-	"repro/internal/store"
-	"repro/internal/testcerts"
 )
 
 func main() {
-	smoke := flag.Bool("smoke", false, "run a hermetic self-test and exit (0 = archive pipeline works)")
 	flag.Usage = usage
 	flag.Parse()
-	if *smoke {
-		os.Exit(runSmoke())
-	}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -70,7 +62,6 @@ func usage() {
   rootpack build -tree DIR [-o FILE]   compile a snapshot tree to an archive
   rootpack inspect FILE [-json]        print sections, dedup ratio, providers
   rootpack verify FILE                 full checksum + round-trip audit
-  rootpack -smoke                      hermetic self-test
 
 The tree layout is the module's shared snapshot layout:
 %s
@@ -183,99 +174,4 @@ func runVerify(args []string) error {
 	fmt.Printf("%s: OK (content hash, section checksums and round-trip verified in %s)\n",
 		path, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// runSmoke exercises the whole archive pipeline hermetically: synthesize a
-// tree from generated certificates, build an archive, prove the sidecar
-// fast path kicks in, corrupt the file and prove verify catches it.
-func runSmoke() int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "rootpack: smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-	root, err := os.MkdirTemp("", "rootpack-smoke-*")
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer os.RemoveAll(root)
-
-	entries := testcerts.Entries(4, store.ServerAuth)
-	for _, v := range []struct {
-		version string
-		es      []*store.TrustEntry
-	}{
-		{"2020-01-01", entries[:3]},
-		{"2020-06-01", entries[1:]},
-	} {
-		dir := filepath.Join(root, "NSS", v.version)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fail("%v", err)
-		}
-		f, err := os.Create(filepath.Join(dir, "tls-ca-bundle.pem"))
-		if err != nil {
-			return fail("%v", err)
-		}
-		werr := pemstore.WriteBundle(f, v.es)
-		f.Close()
-		if werr != nil {
-			return fail("%v", werr)
-		}
-	}
-
-	// First load parses and compiles the sidecar; second load must come
-	// from it.
-	db, info, err := catalog.LoadTreeInfo(root, catalog.Options{})
-	if err != nil {
-		return fail("initial load: %v", err)
-	}
-	if info.FromArchive {
-		return fail("first load claims to come from a sidecar that could not exist yet")
-	}
-	db2, info2, err := catalog.LoadTreeInfo(root, catalog.Options{})
-	if err != nil {
-		return fail("archive load: %v", err)
-	}
-	if !info2.FromArchive {
-		return fail("second load did not use the compiled sidecar")
-	}
-	if err := archive.Equal(db, db2); err != nil {
-		return fail("sidecar database differs from parsed database: %v", err)
-	}
-
-	r, err := archive.Open(info2.ArchivePath)
-	if err != nil {
-		return fail("open sidecar: %v", err)
-	}
-	if err := r.Verify(); err != nil {
-		r.Close()
-		return fail("verify: %v", err)
-	}
-	r.Close()
-
-	// Flip one byte in the middle of the file: verify must refuse.
-	data, err := os.ReadFile(info2.ArchivePath)
-	if err != nil {
-		return fail("%v", err)
-	}
-	data[len(data)/2] ^= 0x01
-	mutPath := filepath.Join(root, "corrupt.rootpack")
-	if err := os.WriteFile(mutPath, data, 0o644); err != nil {
-		return fail("%v", err)
-	}
-	if mr, err := archive.Open(mutPath); err == nil {
-		verr := mr.Verify()
-		mr.Close()
-		if verr == nil {
-			return fail("verify accepted a corrupted archive")
-		}
-		if !archive.IsCorrupt(verr) {
-			return fail("corruption not flagged as corrupt: %v", verr)
-		}
-	} else if !archive.IsCorrupt(err) {
-		return fail("corrupted open failed with non-corrupt error: %v", err)
-	}
-
-	fmt.Printf("rootpack smoke: OK (%d snapshots, sidecar fast path + corruption detection)\n",
-		db.TotalSnapshots())
-	return 0
 }

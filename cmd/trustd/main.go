@@ -40,8 +40,7 @@
 //
 // -debug-addr starts a second, private listener with net/http/pprof, the
 // process expvar tree and /debug/traces — diagnostics that do not belong
-// on the public API address. -smoke runs a hermetic end-to-end self-test
-// (verify fan-out, trace propagation, Prometheus exposition) and exits.
+// on the public API address.
 package main
 
 import (
@@ -85,13 +84,11 @@ func main() {
 	settle := flag.Duration("settle", 2*time.Second, "how long a new snapshot dir must be quiescent before ingest")
 	eventsJSONL := flag.String("events-jsonl", "", "append change events to this JSONL file (with -watch)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /debug/traces on this private address (off when empty)")
-	smoke := flag.Bool("smoke", false, "run a hermetic self-test of the serving + observability stack and exit")
 	origin := flag.Bool("origin", false, "serve /cluster/v1/* archive-distribution endpoints and publish every generation to the fleet")
 	originURL := flag.String("origin-url", "", "run as a replica of this origin's base URL (replaces -seed/-tree/-watch as the database source)")
 	clusterCache := flag.String("cluster-cache", "", "replica archive cache directory (temp dir when empty; persistent dirs survive origin outages across restarts)")
 	syncInterval := flag.Duration("sync-interval", 15*time.Second, "replica manifest poll spacing")
 	syncWait := flag.Duration("sync-wait", 30*time.Second, "replica long-poll duration (0 = plain polling)")
-	smokeCluster := flag.Bool("smoke-cluster", false, "run a hermetic origin + 2-replica cluster self-test and exit")
 	flag.Parse()
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
@@ -100,12 +97,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	if *smoke {
-		os.Exit(runSmoke(logger))
-	}
-	if *smokeCluster {
-		os.Exit(runSmokeCluster(logger))
-	}
 	if *watch && *tree == "" {
 		logger.Error("-watch requires -tree (a directory to poll)")
 		os.Exit(1)

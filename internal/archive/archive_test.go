@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -207,6 +208,24 @@ func TestWriteFileOpenVerify(t *testing.T) {
 	}
 	if st.TotalEntries < st.UniqueCerts || st.DedupRatio() < 1 {
 		t.Errorf("dedup ratio %f (entries %d, uniq %d)", st.DedupRatio(), st.TotalEntries, st.UniqueCerts)
+	}
+
+	// One flipped byte mid-file: Open or Verify refuses it as corrupt.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mr, err := Open(path)
+	if err == nil {
+		err = mr.Verify()
+		mr.Close()
+	}
+	if !IsCorrupt(err) {
+		t.Errorf("flipped byte: Open/Verify error %v, want corrupt", err)
 	}
 }
 

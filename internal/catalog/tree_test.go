@@ -42,6 +42,14 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if err := archive.Equal(db1, db2); err != nil {
 		t.Fatalf("archive-loaded database differs: %v", err)
 	}
+	r, err := archive.Open(info2.ArchivePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Verify(); err != nil {
+		t.Fatalf("sidecar fails verify: %v", err)
+	}
 }
 
 // TestSidecarStaleAfterTreeChange: touching the tree's content invalidates

@@ -208,18 +208,40 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("%d of %d queries failed during rolls and origin outage", f, q)
 	}
 
-	// Every replica now advertises the final generation on the wire.
-	for i, n := range nodes {
-		res, err := http.Get(n.web.URL + "/v1/providers")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if h := res.Header.Get("X-Rootpack-Hash"); h != m3.Hash {
-			t.Errorf("replica %d X-Rootpack-Hash %q, want %q", i, h, m3.Hash)
-		}
-		if e := res.Header.Get("X-Rootpack-Epoch"); e != fmt.Sprint(m3.Epoch) {
-			t.Errorf("replica %d X-Rootpack-Epoch %s, want %d", i, e, m3.Epoch)
+	// Every node, origin first, now advertises the final generation on
+	// the wire: in the headers and in the /healthz body.
+	bases := []string{originWeb.URL}
+	for _, n := range nodes {
+		bases = append(bases, n.web.URL)
+	}
+	for i, base := range bases {
+		for _, path := range []string{"/v1/providers", "/healthz"} {
+			res, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path == "/healthz" {
+				var h struct {
+					Generation struct {
+						Hash  string `json:"hash"`
+						Epoch uint64 `json:"epoch"`
+					} `json:"generation"`
+				}
+				err = json.NewDecoder(res.Body).Decode(&h)
+				if h.Generation.Hash != m3.Hash || h.Generation.Epoch != m3.Epoch {
+					t.Errorf("node %d /healthz generation %s/%d, want %s/%d", i, h.Generation.Hash, h.Generation.Epoch, m3.Hash, m3.Epoch)
+				}
+			}
+			res.Body.Close()
+			if err != nil {
+				t.Fatalf("node %d %s: %v", i, path, err)
+			}
+			if h := res.Header.Get("X-Rootpack-Hash"); h != m3.Hash {
+				t.Errorf("node %d %s X-Rootpack-Hash %q, want %q", i, path, h, m3.Hash)
+			}
+			if e := res.Header.Get("X-Rootpack-Epoch"); e != fmt.Sprint(m3.Epoch) {
+				t.Errorf("node %d %s X-Rootpack-Epoch %s, want %d", i, path, e, m3.Epoch)
+			}
 		}
 	}
 

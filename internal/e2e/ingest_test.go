@@ -9,11 +9,14 @@ import (
 	"repro/internal/authroot"
 	"repro/internal/catalog"
 	"repro/internal/certdata"
+	"repro/internal/ctlog"
 	"repro/internal/jks"
+	"repro/internal/manifest"
 	"repro/internal/nodecerts"
 	"repro/internal/paperdata"
 	"repro/internal/pemstore"
 	"repro/internal/store"
+	"repro/internal/synth"
 )
 
 // writeNative mirrors cmd/synthgen's per-provider format choice.
@@ -23,6 +26,18 @@ func writeNative(t *testing.T, dir, provider string, s *store.Snapshot) {
 		t.Fatal(err)
 	}
 	entries := s.Entries()
+	switch s.Kind.Normalize() {
+	case store.KindCT:
+		if err := ctlog.WriteDir(dir, entries); err != nil {
+			t.Fatal(err)
+		}
+		return
+	case store.KindManifest:
+		if err := manifest.WriteDir(dir, manifest.FromEntries(provider, entries)); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	switch provider {
 	case paperdata.NSS:
 		f, err := os.Create(filepath.Join(dir, "certdata.txt"))
@@ -72,10 +87,14 @@ func writeNative(t *testing.T, dir, provider string, s *store.Snapshot) {
 
 // TestSynthgenIngestRoundTrip is the full scraper loop: write every
 // provider's latest snapshot in its native format (what cmd/synthgen
-// does), auto-detect and ingest the tree with the catalog, and verify the
-// rebuilt database agrees with the in-memory corpus on TLS membership.
+// -ecosystems does), auto-detect and ingest the tree with the catalog, and
+// verify the rebuilt database agrees with the in-memory corpus on TLS
+// membership and ecosystem kind.
 func TestSynthgenIngestRoundTrip(t *testing.T) {
-	eco := ecosystem(t)
+	eco, err := synth.CachedWithEcosystems("e2e")
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := t.TempDir()
 	for _, prov := range eco.DB.Providers() {
 		snap := eco.DB.History(prov).Latest()
@@ -87,14 +106,17 @@ func TestSynthgenIngestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(db.Providers()); got != 10 {
-		t.Fatalf("ingested %d providers, want 10", got)
+	if got, want := len(db.Providers()), len(eco.DB.Providers()); got != want {
+		t.Fatalf("ingested %d providers, want %d", got, want)
 	}
 	for _, prov := range eco.DB.Providers() {
 		want := eco.DB.History(prov).Latest()
 		got := db.History(prov).Latest()
 		if got == nil {
 			t.Fatalf("%s: no ingested snapshot", prov)
+		}
+		if got.Kind.Normalize() != want.Kind.Normalize() {
+			t.Errorf("%s: ingested kind %q, want %q", prov, got.Kind.Normalize(), want.Kind.Normalize())
 		}
 		if !got.Date.Equal(want.Date) {
 			t.Errorf("%s: date %s, want %s", prov, got.Date.Format("2006-01-02"), want.Date.Format("2006-01-02"))

@@ -1,14 +1,14 @@
-package load
+package load_test
 
-// Hermetic fixture for loadgen's smoke mode and the package's own e2e
-// tests: two serving generations that disagree about exactly one store.
+// Hermetic fixture for the package's end-to-end test: two serving
+// generations that disagree about exactly one store.
 //
 // Every UA-traceable provider (NSS, Microsoft, Apple, Android, NodeJS)
 // trusts root 0 in BOTH generations, so weighted-UA verify traffic
 // succeeds no matter which generation answers. The Debian derivative is
 // the generation marker: generation A omits root 0 from Debian (the
 // chain fails there), generation B includes it (the chain verifies).
-// CheckVerify cross-references each response's X-Rootpack-Hash against
+// checkVerify cross-references each response's X-Rootpack-Hash against
 // the Debian outcome — a response claiming generation B but carrying
 // generation A's verdict (or vice versa) is a torn read across the
 // atomic swap, exactly what the rolling-reload scenario must prove
@@ -26,14 +26,15 @@ import (
 	"repro/internal/archive"
 	"repro/internal/certgen"
 	"repro/internal/certutil"
+	"repro/internal/load"
 	"repro/internal/store"
 	"repro/internal/testcerts"
 	"repro/internal/tracker"
 )
 
-// Fixture is a ready-to-serve pair of generations plus the Target that
+// fixture is a ready-to-serve pair of generations plus the Target that
 // drives load against them.
-type Fixture struct {
+type fixture struct {
 	GenA  *store.Database // Debian does NOT trust root 0
 	GenB  *store.Database // Debian trusts root 0
 	HashA string          // bare-hex rootpack hash of GenA (X-Rootpack-Hash form)
@@ -41,7 +42,7 @@ type Fixture struct {
 	// ChainPEM is a leaf issued by root 0 — verifies against every
 	// traceable provider in both generations.
 	ChainPEM string
-	Target   Target
+	Target   load.Target
 }
 
 // fixtureProviders maps provider name → trusted root indices for
@@ -55,9 +56,9 @@ var fixtureProviders = map[string][]int{
 	"Debian":    {1, 2}, // generation B adds 0
 }
 
-// NewFixture builds both generations, the chain, and a Target wired
+// newFixture builds both generations, the chain, and a Target wired
 // with a mixed-generation checker.
-func NewFixture() (*Fixture, error) {
+func newFixture() (*fixture, error) {
 	roots := testcerts.Roots(3)
 	snapDate := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 
@@ -113,7 +114,7 @@ func NewFixture() (*Fixture, error) {
 		return nil, err
 	}
 
-	f := &Fixture{
+	f := &fixture{
 		GenA:     genA,
 		GenB:     genB,
 		HashA:    hex.EncodeToString(hashA[:]),
@@ -128,7 +129,7 @@ func NewFixture() (*Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.Target = Target{
+	f.Target = load.Target{
 		ReadPaths: []string{
 			"/v1/providers",
 			"/v1/providers/NSS/snapshots",
@@ -146,7 +147,7 @@ func NewFixture() (*Fixture, error) {
 // checkVerify asserts every verdict set is internally consistent with
 // the generation that produced it: Debian's outcome flips exactly at
 // the A→B swap, every other provider verifies in both.
-func (f *Fixture) checkVerify(generation string, verdicts []Verdict) error {
+func (f *fixture) checkVerify(generation string, verdicts []load.Verdict) error {
 	var wantDebianOK bool
 	switch generation {
 	case f.HashA:
@@ -174,23 +175,23 @@ func (f *Fixture) checkVerify(generation string, verdicts []Verdict) error {
 	return nil
 }
 
-// StubFeed is a minimal in-memory service.EventFeed so the smoke run can
+// stubFeed is a minimal in-memory service.EventFeed so the load run can
 // exercise live SSE delivery without the tracker pipeline.
-type StubFeed struct {
+type stubFeed struct {
 	mu     sync.Mutex
 	events []tracker.Event
 	subs   map[int]chan tracker.Event
 	nextID int
 }
 
-// NewStubFeed returns an empty feed.
-func NewStubFeed() *StubFeed {
-	return &StubFeed{subs: map[int]chan tracker.Event{}}
+// newStubFeed returns an empty feed.
+func newStubFeed() *stubFeed {
+	return &stubFeed{subs: map[int]chan tracker.Event{}}
 }
 
 // Emit appends an event (assigning the next sequence number) and fans it
 // out to every live subscriber, dropping to slow ones like the tracker.
-func (f *StubFeed) Emit(ev tracker.Event) {
+func (f *stubFeed) Emit(ev tracker.Event) {
 	f.mu.Lock()
 	ev.Seq = uint64(len(f.events) + 1)
 	if ev.ObservedAt.IsZero() {
@@ -207,7 +208,7 @@ func (f *StubFeed) Emit(ev tracker.Event) {
 }
 
 // Replay implements service.EventFeed.
-func (f *StubFeed) Replay(filter tracker.Filter) []tracker.Event {
+func (f *stubFeed) Replay(filter tracker.Filter) []tracker.Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []tracker.Event
@@ -220,7 +221,7 @@ func (f *StubFeed) Replay(filter tracker.Filter) []tracker.Event {
 }
 
 // Subscribe implements service.EventFeed.
-func (f *StubFeed) Subscribe(buffer int) (<-chan tracker.Event, func()) {
+func (f *stubFeed) Subscribe(buffer int) (<-chan tracker.Event, func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	id := f.nextID
@@ -239,7 +240,7 @@ func (f *StubFeed) Subscribe(buffer int) (<-chan tracker.Event, func()) {
 }
 
 // LastSeq implements service.EventFeed.
-func (f *StubFeed) LastSeq() uint64 {
+func (f *stubFeed) LastSeq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return uint64(len(f.events))

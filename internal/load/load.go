@@ -100,8 +100,8 @@ func splitComma(s string) []string {
 	return out
 }
 
-// Target tells the drivers what to request. The fixture (hermetic smoke)
-// and real deployments (cmd/loadgen flags) both fill this in.
+// Target tells the drivers what to request: cmd/loadgen fills it in from
+// its flags, the package's end-to-end test from its fixture.
 type Target struct {
 	// ReadPaths are GET paths for ClassRead, picked round-robin.
 	ReadPaths []string

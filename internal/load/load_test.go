@@ -1,31 +1,43 @@
 package load_test
 
 // End-to-end: the full mixed workload against a real in-process trustd,
-// with a generation swap and a live SSE event fired mid-run. This is the
-// same scenario cmd/loadgen -smoke runs, held to the same assertions:
-// zero 5xx, zero transport errors, zero mixed-generation verdicts, both
-// generations observed, every class exercised.
+// with a generation swap and a live SSE event fired mid-run: zero 5xx,
+// zero transport errors, zero mixed-generation verdicts, both generations
+// observed, every class exercised within a p99 budget, and the server's
+// exposition lint-clean, on the client's bucket layout, with an exemplar
+// that resolves to a live trace.
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/load"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/tracker"
 )
 
-var _ service.EventFeed = (*load.StubFeed)(nil)
+var _ service.EventFeed = (*stubFeed)(nil)
+
+// p99Budget bounds every class's p99, measured from scheduled arrival.
+// Loopback round-trips run well under a millisecond; the budget absorbs
+// CI-grade noise, not real regressions.
+const p99Budget = 500 * time.Millisecond
 
 func TestMixedWorkloadReloadUnderLoad(t *testing.T) {
-	f, err := load.NewFixture()
+	f, err := newFixture()
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := service.New(f.GenA, service.Config{})
-	feed := load.NewStubFeed()
+	feed := newStubFeed()
 	srv.AttachEvents(feed)
 	web := httptest.NewServer(srv.Handler())
 	defer web.Close()
@@ -80,6 +92,9 @@ func TestMixedWorkloadReloadUnderLoad(t *testing.T) {
 		if cr.P50 <= 0 || cr.P999 < cr.P50 {
 			t.Errorf("class %s quantiles broken: p50=%v p999=%v", class, cr.P50, cr.P999)
 		}
+		if p99 := time.Duration(cr.P99 * float64(time.Second)); p99 > p99Budget {
+			t.Errorf("class %s p99 %v exceeds budget %v", class, p99, p99Budget)
+		}
 	}
 
 	// Both long-lived subscribers (which replay on reconnect) must have
@@ -96,4 +111,57 @@ func TestMixedWorkloadReloadUnderLoad(t *testing.T) {
 	if len(rep.BucketBoundsSeconds) != 69 {
 		t.Errorf("bucket bounds = %d, want 69 shared HDR bounds", len(rep.BucketBoundsSeconds))
 	}
+
+	// The server's exposition is lint-clean, its verify-route histogram
+	// has the client's bucket layout, and a bucket exemplar resolves to a
+	// live trace.
+	text := httpBody(t, web.URL+"/metrics/prometheus")
+	if problems := obs.LintExposition(strings.NewReader(text)); len(problems) != 0 {
+		t.Fatalf("malformed exposition:\n%s", strings.Join(problems, "\n"))
+	}
+	const family = `trustd_request_duration_seconds_bucket{route="POST /v1/verify",le="`
+	var les []string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, family); ok {
+			les = append(les, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	if len(les) != len(rep.BucketBoundsSeconds)+1 || les[len(les)-1] != "+Inf" {
+		t.Fatalf("server verify buckets %v, client bounds %v", les, rep.BucketBoundsSeconds)
+	}
+	for i, b := range rep.BucketBoundsSeconds {
+		if le, err := strconv.ParseFloat(les[i], 64); err != nil || le != b {
+			t.Errorf("bucket %d: server le=%q, client bound %v", i, les[i], b)
+		}
+	}
+	const marker = `# {trace_id="`
+	at := strings.Index(text, marker)
+	if at < 0 {
+		t.Fatal("exposition carries no bucket exemplars")
+	}
+	traceID, _, _ := strings.Cut(text[at+len(marker):], `"`)
+	var dump struct {
+		Recent  []json.RawMessage `json:"recent"`
+		Slowest []json.RawMessage `json:"slowest"`
+	}
+	if err := json.Unmarshal([]byte(httpBody(t, web.URL+"/debug/traces?trace_id="+traceID)), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Recent)+len(dump.Slowest) == 0 {
+		t.Errorf("exemplar trace %q does not resolve in /debug/traces", traceID)
+	}
+}
+
+func httpBody(t *testing.T, url string) string {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v", url, res.StatusCode, err)
+	}
+	return string(b)
 }

@@ -1,6 +1,6 @@
 package load
 
-// Report is the JSON artifact a run produces (BENCH_10.json in CI). The
+// Report is the JSON artifact a run produces (loadgen -json). The
 // latency quantiles come from the same HDR log-linear buckets trustd
 // exports on /metrics/prometheus — BucketBoundsSeconds restates the
 // shared layout so a consumer can line client and server histograms up

@@ -4,7 +4,7 @@ package obs
 // registry.go) renders its declared families as []MetricFamily at scrape
 // time, and WriteExposition writes them with stable ordering and the
 // format's escaping. LintExposition is the promlint-style check the golden
-// tests and the hermetic smoke binaries run against the output.
+// and end-to-end tests run against the output.
 
 import (
 	"bufio"
@@ -207,8 +207,8 @@ var (
 // LintExposition parses rendered text format and checks it: every sample
 // must belong to a declared TYPE, names, values and label escapes must
 // parse, no series may repeat, and histogram buckets must be cumulative
-// and end in a +Inf bucket. It is the wire-level guard the CI smoke steps
-// run against a live /metrics/prometheus response; naming rules (help
+// and end in a +Inf bucket. It is the wire-level guard the end-to-end
+// tests run against a live /metrics/prometheus response; naming rules (help
 // text, counter suffixes, label names) are enforced when a Registry family
 // is declared.
 func LintExposition(r io.Reader) []string {

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Value is a plist value: one of
@@ -67,7 +68,11 @@ func encodeValue(buf *bytes.Buffer, v Value, depth int) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			indent(buf, depth+1)
-			fmt.Fprintf(buf, "<key>%s</key>\n", escape(k))
+			ek, err := escape(k)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(buf, "<key>%s</key>\n", ek)
 			if err := encodeValue(buf, x[k], depth+1); err != nil {
 				return err
 			}
@@ -88,7 +93,11 @@ func encodeValue(buf *bytes.Buffer, v Value, depth int) error {
 		indent(buf, depth)
 		buf.WriteString("</array>\n")
 	case string:
-		fmt.Fprintf(buf, "<string>%s</string>\n", escape(x))
+		es, err := escape(x)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(buf, "<string>%s</string>\n", es)
 	case int:
 		fmt.Fprintf(buf, "<integer>%d</integer>\n", x)
 	case int64:
@@ -123,12 +132,34 @@ func encodeValue(buf *bytes.Buffer, v Value, depth int) error {
 	return nil
 }
 
-func escape(s string) string {
+// escape renders s as XML character data. XML 1.0 carries only the runes
+// of its Char production, and xml.EscapeText writes any other rune (and
+// invalid UTF-8) as U+FFFD, so such a string is an error, not a silent
+// rewrite that would not round-trip.
+func escape(s string) (string, error) {
+	for i := 0; i < len(s); {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 {
+			return "", fmt.Errorf("plist: string %q is not valid UTF-8 at byte %d", s, i)
+		}
+		if !isXMLChar(r) {
+			return "", fmt.Errorf("plist: string %q holds %U at byte %d, which XML 1.0 cannot carry", s, r, i)
+		}
+		i += n
+	}
 	var b strings.Builder
 	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
+		return "", err
 	}
-	return b.String()
+	return b.String(), nil
+}
+
+// isXMLChar reports whether r is in XML 1.0's Char production.
+func isXMLChar(r rune) bool {
+	return r == '\t' || r == '\n' || r == '\r' ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
 }
 
 // Unmarshal parses an XML plist document into a Value.

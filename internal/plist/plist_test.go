@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 )
 
 func roundTrip(t *testing.T, v Value) Value {
@@ -178,12 +179,14 @@ func TestUnmarshalRealAppleStyleDoc(t *testing.T) {
 	}
 }
 
+// TestPropertyStringRoundTrip: Marshal refuses a string XML 1.0 cannot
+// carry, and every other string round-trips unchanged.
 func TestPropertyStringRoundTrip(t *testing.T) {
 	prop := func(s string) bool {
-		if !isValidXMLString(s) {
-			return true
-		}
 		data, err := Marshal(s)
+		if !isValidXMLString(s) {
+			return err != nil
+		}
 		if err != nil {
 			return false
 		}
@@ -192,6 +195,30 @@ func TestPropertyStringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalRejectsNonXMLChars: U+FFFE, U+FFFF, C0 controls and invalid
+// UTF-8, in a string or a dict key, are errors rather than a silent
+// rewrite to U+FFFD; U+FFFD itself and tab, newline and carriage return
+// round-trip.
+func TestMarshalRejectsNonXMLChars(t *testing.T) {
+	for _, s := range []string{"a\uFFFEb", "\uFFFF", "bell\x07", "\x00", "bad\xffutf8"} {
+		if _, err := Marshal(s); err == nil {
+			t.Errorf("Marshal(%q) = nil error, want one", s)
+		}
+		if _, err := Marshal(Dict{s: "v"}); err == nil {
+			t.Errorf("Marshal(Dict{%q: v}) = nil error, want one", s)
+		}
+	}
+	for _, s := range []string{"\uFFFD", "tab\tnl\ncr\r", "\U0010FFFF"} {
+		data, err := Marshal(Dict{s: s})
+		if err != nil {
+			t.Fatalf("Marshal(%q): %v", s, err)
+		}
+		if out, err := Unmarshal(data); err != nil || out.(Dict)[s] != s {
+			t.Errorf("%q: round trip gave %#v, %v", s, out, err)
+		}
 	}
 }
 
@@ -216,18 +243,17 @@ func TestPropertyDataRoundTrip(t *testing.T) {
 	}
 }
 
-// isValidXMLString filters control characters and invalid UTF-8 that XML
-// cannot carry.
+// isValidXMLString reports whether s is valid UTF-8 made only of runes in
+// XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+// [#xE000-#xFFFD] | [#x10000-#x10FFFF].
 func isValidXMLString(s string) bool {
+	if !utf8.ValidString(s) {
+		return false
+	}
 	for _, r := range s {
-		if r == 0xFFFD {
-			return false
-		}
-		if r < 0x20 && r != '\t' && r != '\n' && r != '\r' {
-			return false
-		}
-		// XML 1.0 excludes surrogates and certain non-characters.
-		if r >= 0xD800 && r <= 0xDFFF {
+		switch {
+		case r == 0x9, r == 0xA, r == 0xD:
+		case r < 0x20, r >= 0xD800 && r <= 0xDFFF, r == 0xFFFE, r == 0xFFFF:
 			return false
 		}
 	}

@@ -1,6 +1,6 @@
 package service_test
 
-// Performance guards for the batch pipeline (BENCH_7): BenchmarkVerifyBatch
+// Performance guards for the batch pipeline (EXPERIMENTS.md P7): BenchmarkVerifyBatch
 // measures per-verdict cost and allocations on the warm (verdict-cache-hit)
 // path, and TestBatchWarmAllocs holds that path to its allocation budget.
 

@@ -294,7 +294,11 @@ func TestBatchMalformedLineMidStream(t *testing.T) {
 	chain, _ := symantecChain(t, eco)
 	good := ndline(t, map[string]any{"chain_pem": chain, "stores": []string{"NSS"}, "at": "2020-11-15"})
 
-	before := metric(srv, "trustd_batch_rejected_lines_total")
+	counters := []string{"trustd_batches_total", "trustd_batch_lines_total", "trustd_batch_verdicts_total", "trustd_batch_rejected_lines_total"}
+	before := map[string]float64{}
+	for _, c := range counters {
+		before[c] = metric(srv, c)
+	}
 	body := good + "{this is not json\n" + `{"chain_pem":""}` + "\n" + good
 	lines := postBatch(t, srv, body)
 	if len(lines) != 4 {
@@ -312,8 +316,11 @@ func TestBatchMalformedLineMidStream(t *testing.T) {
 	if lines[3].Error != "" || len(lines[3].Verdicts) == 0 {
 		t.Fatalf("line 3 = %+v, want verdicts", lines[3])
 	}
-	if got := metric(srv, "trustd_batch_rejected_lines_total") - before; got != 2 {
-		t.Errorf("batch rejects grew by %v, want 2", got)
+	// One batch of four lines: two verdicts (one store each), two rejects.
+	for c, want := range map[string]float64{counters[0]: 1, counters[1]: 4, counters[2]: 2, counters[3]: 2} {
+		if got := metric(srv, c) - before[c]; got != want {
+			t.Errorf("%s grew by %v, want %v", c, got, want)
+		}
 	}
 	if depth := metric(srv, "trustd_batch_queue_depth"); depth != 0 {
 		t.Errorf("queue depth %v after batch, want 0", depth)

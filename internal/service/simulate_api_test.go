@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -359,11 +361,37 @@ func TestSimulateBodyCapParity(t *testing.T) {
 	}
 }
 
+// TestSimulateMetricsExposition posts a removal and a sweep: the removal's
+// divergence windows are the engine's, naming the NSS derivatives left
+// trusting the root, and the simulate families reach the exposition.
 func TestSimulateMetricsExposition(t *testing.T) {
-	_, srv := fixture(t)
+	eco, srv := fixture(t)
 	fp := symantecFingerprint(t)
-	if res, out := postSimulate(t, srv, map[string]any{"kind": "removal", "fingerprints": []string{fp}}); res.StatusCode != http.StatusOK {
+	res, out := postSimulate(t, srv, map[string]any{"kind": "removal", "fingerprints": []string{fp}})
+	if res.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: %d %v", res.StatusCode, out)
+	}
+	parsed, err := certutil.ParseFingerprint(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := simulate.New(eco.DB, simulate.Options{}).Simulate(simulate.Event{
+		Kind:         simulate.KindRemoval,
+		Fingerprints: []certutil.Fingerprint{parsed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(want.Divergence)
+	var wantRows []any
+	if err := json.Unmarshal(raw, &wantRows); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out["divergence"], wantRows) {
+		t.Errorf("divergence over HTTP %v, engine says %v", out["divergence"], wantRows)
+	}
+	if !slices.ContainsFunc(want.Divergence, func(w simulate.DivergenceWindow) bool { return w.Derivative }) {
+		t.Errorf("removal from NSS opened no derivative window: %+v", want.Divergence)
 	}
 	if get(t, srv, "/v1/simulate/sweep", nil).StatusCode != http.StatusOK {
 		t.Fatal("sweep failed")
