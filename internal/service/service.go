@@ -13,18 +13,19 @@
 //     locks; Swap installs a freshly ingested database without dropping a
 //     single in-flight request — the hot-reload path internal/tracker
 //     drives.
-//   - verify.Verifier construction (cert-pool building) is the expensive
-//     step, so verifiers are cached per snapshot in a sharded read-through
-//     cache; verdicts are additionally memoized in an LRU keyed on
-//     (chain-hash, snapshot, purpose, dns, time). Both caches belong to
-//     the state they were built against and are dropped wholesale on swap,
-//     so a re-ingested snapshot can never serve stale verdicts.
+//   - Each generation builds one x509 pool of every distinct certificate
+//     (verify.Pool), on its first verify miss; no snapshot has a pool of
+//     its own. Verdicts are memoized in an LRU keyed on (chain-hash,
+//     snapshot, purpose, dns, time). Pool and cache belong to the state
+//     they were built against and are dropped wholesale on swap, so a
+//     re-ingested snapshot can never serve stale verdicts.
 //   - POST /v1/verify and POST /v1/verify/batch share one verify core
 //     (verify.go): a single verify is a batch of one. Cold verifications
 //     run under a bounded worker semaphore and honour per-request context
 //     timeouts. A request's misses at one instant build the chain once
-//     against a per-generation pool of every certificate and judge it per
-//     store.
+//     against the generation's pool and judge it per store; a lone store,
+//     or one the shared build cannot decide, gets one build against its
+//     own candidates from that pool.
 //   - GET /v1/events replays the tracker's change-event log and
 //     /v1/events/watch streams it live (SSE) when a tracker is attached.
 package service
@@ -140,10 +141,9 @@ func (c Config) withDefaults() Config {
 // entry and use that generation for the whole request, so a concurrent
 // Swap can never show a request half of one database and half of another.
 type dbState struct {
-	db        *store.Database
-	index     *RootIndex
-	verifiers *verifierCache
-	verdicts  *lruCache
+	db       *store.Database
+	index    *RootIndex
+	verdicts *lruCache
 
 	// epoch is the generation ordinal: locally installed generations count
 	// up from 1; generations installed from a cluster origin (SwapArchive)
@@ -169,9 +169,10 @@ type dbState struct {
 	sweepDur  time.Duration
 
 	// verifyPoolOnce guards pool: every distinct certificate of db in one
-	// x509 pool, which a verify builds a chain against once for all its
-	// stores at one instant (verify.go). It is built on the first verify
-	// miss that needs it, never in install, and dies with the generation.
+	// x509 pool, which every verdict-cache miss verifies against — a
+	// chain built once for all its stores at one instant, or one store's
+	// candidates drawn from it (verify.go). It is built on the first
+	// verify miss, never in install, and dies with the generation.
 	verifyPoolOnce sync.Once
 	pool           *verify.Pool
 
@@ -252,7 +253,6 @@ func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 	st := &dbState{
 		db:             db,
 		index:          BuildIndex(db),
-		verifiers:      newVerifierCache(s.metrics),
 		verdicts:       newLRUCache(s.cfg.VerdictCacheSize),
 		epoch:          epoch,
 		providers:      providers,

@@ -15,9 +15,10 @@ package service
 //     and grouped by verification instant. A group of two or more stores
 //     builds the chain once against the generation's pool of every
 //     certificate (verify.Pool) and each store judges the returned chains;
-//     a group of one, and any store the shared build cannot decide, is
-//     verified against its own snapshot. Each group takes one slot of the
-//     shared -workers semaphore; verdicts go back into the cache.
+//     a group of one, and any store the shared build cannot decide, gets
+//     one exact build against its own candidates drawn from that pool
+//     (Pool.Verify). Each group takes one slot of the shared -workers
+//     semaphore; verdicts go back into the cache.
 //
 // The response object renders from pre-rendered fragments, so both routes
 // emit the same bytes; a batch line adds a leading "seq". Errors carry the
@@ -361,9 +362,10 @@ func (sc *verifyScratch) verdictKey(sk *routeSnap, purpose store.Purpose) []byte
 // share one verification instant, under one -workers slot, and caches
 // each verdict. Two or more stores build the chain once against the
 // generation's shared pool inside a verify.chain span and judge it per
-// store; a lone store, and any store the shared build cannot decide, runs
-// its own snapshot's verifier. Each store gets a verify.store span. If the
-// context dies while waiting for the slot every row reads "timeout".
+// store; a lone store, and any store the shared build cannot decide, is
+// built against its own candidates from that pool. Each store gets a
+// verify.store span. If the context dies while waiting for the slot every
+// row reads "timeout".
 func (b *verifyRun) verifyGroup(sc *verifyScratch, rt *verifyRoute, purpose store.Purpose) {
 	depth := strconv.Itoa(len(sc.certs))
 	storeSpan := func(sk *routeSnap) *obs.Span {
@@ -403,9 +405,10 @@ func (b *verifyRun) verifyGroup(sc *verifyScratch, rt *verifyRoute, purpose stor
 		DNSName:       string(sc.f.dnsName),
 		At:            rt.snaps[sc.group[0]].at,
 	}
+	pool := b.st.verifyPool(b.s)
 	var shared *verify.Chains
 	if len(sc.group) > 1 {
-		if shared = b.st.verifyPool(b.s).Build(req); shared != nil {
+		if shared = pool.Build(req); shared != nil {
 			b.s.metrics.sharedBuilds.Inc()
 			wait.Annotate("chains", strconv.Itoa(shared.Len()))
 		} else {
@@ -426,7 +429,7 @@ func (b *verifyRun) verifyGroup(sc *verifyScratch, rt *verifyRoute, purpose stor
 		}
 		if !ok {
 			b.s.metrics.perStoreBuilds.Inc()
-			res = b.st.verifiers.get(sk.snap).Verify(req)
+			res = pool.Verify(sk.snap, req)
 		}
 		v := verdict{Outcome: res.Outcome.String()}
 		if res.Anchor != nil {

@@ -13,8 +13,10 @@ package verify
 // depth-first search then visits the same intermediates in the same order,
 // and the chains a snapshot's own build returns are exactly the shared
 // chains whose root the snapshot holds, in the same relative order — so
-// judge picks the same anchor. Three cases break the equivalence and are
-// left to the per-snapshot Verifier:
+// judge picks the same anchor.
+//
+// Three cases the shared build cannot decide, and Pool.Verify builds
+// against one snapshot instead:
 //
 //   - the leaf is itself in the pool: x509 then returns the leaf alone
 //     as a chain instead of searching (Build returns nil);
@@ -23,6 +25,15 @@ package verify
 //   - no shared chain ends at a root of the snapshot: the snapshot's own
 //     build fails, with an error text only that build produces (Judge
 //     reports false).
+//
+// Why that build needs no pool of the snapshot's own: x509 reads Roots in
+// two places only, contains(leaf) and findPotentialParents for the leaf
+// and for each presented intermediate it reaches; root candidates are
+// never extended. A throwaway pool of the snapshot's certificates whose
+// subject is one of those issuers (or of the leaf alone, when the
+// snapshot holds it), added in fingerprint order, offers the same
+// candidates in the same order as the snapshot's whole pool — the same
+// chains, signature budget and error text.
 
 import (
 	"bytes"
@@ -46,9 +57,10 @@ type Pool struct {
 	// fps are the pooled certificates' fingerprints, sorted: a leaf found
 	// here is in the pool.
 	fps []certutil.Fingerprint
-	// bySubject counts pooled certificates per raw subject: the root
-	// candidates x509 offers a certificate with that issuer.
-	bySubject map[string]int
+	// bySubject holds the pooled entries per raw subject, in fingerprint
+	// order: the root candidates x509 offers a certificate with that
+	// issuer.
+	bySubject map[string][]*store.TrustEntry
 }
 
 // NewPool builds the shared pool over entries, which must be distinct and
@@ -58,12 +70,13 @@ func NewPool(entries []*store.TrustEntry) *Pool {
 	p := &Pool{
 		roots:     x509.NewCertPool(),
 		fps:       make([]certutil.Fingerprint, len(entries)),
-		bySubject: make(map[string]int),
+		bySubject: make(map[string][]*store.TrustEntry),
 	}
 	for i, e := range entries {
 		p.roots.AddCert(e.Cert)
 		p.fps[i] = e.Fingerprint
-		p.bySubject[string(e.Cert.RawSubject)]++
+		subject := string(e.Cert.RawSubject)
+		p.bySubject[subject] = append(p.bySubject[subject], e)
 	}
 	return p
 }
@@ -127,6 +140,48 @@ func (c *Chains) Judge(snap *store.Snapshot, p store.Purpose) (Result, bool) {
 	return judge(snap, c.roots, c.leaf, p)
 }
 
+// Verify returns snap's verdict on req — exactly what snap's own Verifier
+// returns — with one x509 build against a throwaway pool of snap's
+// candidates for the chain, drawn from the pool (see the header). snap's
+// certificates must all be in the pool: a snapshot of the database the
+// pool was built over. req.At defaults to snap's date.
+func (p *Pool) Verify(snap *store.Snapshot, req Request) Result {
+	if req.At.IsZero() {
+		req.At = snap.Date
+	}
+	roots := x509.NewCertPool()
+	// candidates adds snap's certificates whose subject is issuer, in
+	// fingerprint order; AddCert skips one already added.
+	candidates := func(issuer []byte) {
+		for _, e := range p.bySubject[string(issuer)] {
+			if _, held := snap.Lookup(e.Fingerprint); held {
+				roots.AddCert(e.Cert)
+			}
+		}
+	}
+	if e, held := snap.Lookup(certutil.SHA256Fingerprint(req.Leaf.Raw)); held {
+		roots.AddCert(e.Cert) // x509 returns the leaf alone, searching nothing
+	} else {
+		candidates(req.Leaf.RawIssuer)
+		for _, in := range req.Intermediates {
+			candidates(in.RawIssuer)
+		}
+	}
+	chains, err := req.Leaf.Verify(x509.VerifyOptions{
+		Roots:         roots,
+		Intermediates: req.interPool(),
+		DNSName:       req.DNSName,
+		CurrentTime:   req.At,
+		KeyUsages:     anyUsage,
+	})
+	if err != nil {
+		return failed(err)
+	}
+	var buf [4]certutil.Fingerprint
+	res, _ := judge(snap, rootsOf(buf[:0], chains), req.Leaf, req.Purpose)
+	return res
+}
+
 // leafStage reports whether err is one of the checks x509 runs on the leaf
 // before it consults any pool — validity window, critical extensions,
 // hostname — and so the same against every snapshot. Errors from the
@@ -153,7 +208,7 @@ func (p *Pool) withinBudget(leaf *x509.Certificate, inters []*x509.Certificate) 
 	path := make([]*x509.Certificate, 0, 8)
 	var walk func(c *x509.Certificate) bool
 	walk = func(c *x509.Certificate) bool {
-		checks += p.bySubject[string(c.RawIssuer)]
+		checks += len(p.bySubject[string(c.RawIssuer)])
 		path = append(path, c)
 		defer func() { path = path[:len(path)-1] }()
 		for _, in := range inters {

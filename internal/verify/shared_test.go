@@ -1,16 +1,19 @@
 package verify
 
-// The differential oracle for the shared path: one chain build against a
-// pool of every certificate, judged per snapshot, must give exactly the
-// verdict each snapshot's own Verifier gives — outcome, anchor, label and
-// error text — over the synthetic corpus, generated chains and instants on
-// both sides of the Symantec cutoff. Two metamorphic properties pin the
-// set semantics the shared path relies on.
+// The differential oracle for the serving path: one chain build against a
+// pool of every certificate, judged per snapshot — and, where it cannot
+// decide, Pool.Verify's build against one snapshot's candidates — must
+// give exactly the verdict each snapshot's own Verifier gives — outcome,
+// anchor, label and error text — over the synthetic corpus, generated
+// chains and instants on both sides of the Symantec cutoff. Three
+// metamorphic properties pin the set and cutoff semantics both paths rely
+// on.
 
 import (
 	"crypto/x509"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,15 +25,15 @@ import (
 )
 
 // sharedVerdict is the serving path's verdict for snap: judged from the
-// shared build when it can decide, else snap's own verifier. shared
-// reports which.
-func sharedVerdict(c *Chains, v *Verifier, snap *store.Snapshot, req Request) (res Result, shared bool) {
+// shared build c when it can decide, else the pool's build against snap
+// alone. shared reports which.
+func sharedVerdict(pool *Pool, c *Chains, snap *store.Snapshot, req Request) (res Result, shared bool) {
 	if c != nil {
 		if res, ok := c.Judge(snap, req.Purpose); ok {
 			return res, true
 		}
 	}
-	return v.Verify(req), false
+	return pool.Verify(snap, req), false
 }
 
 // sameResult reports how got differs from want, or "" when it does not:
@@ -153,9 +156,11 @@ func corpusCases(t testing.TB, eco *synth.Ecosystem) []oracleCase {
 var oracleInstants = []time.Time{ts(2014, 6, 1), ts(2016, 9, 1), ts(2018, 3, 1), ts(2019, 6, 1), ts(2020, 11, 15), ts(2023, 1, 1)}
 
 // TestSharedPathMatchesPerStore is the differential oracle over the
-// corpus: every (chain, instant, provider) verdict of the shared path
-// equals the per-snapshot Verifier's, and the shared build decides most
-// of them.
+// corpus: every (chain, instant, provider) verdict of the serving path,
+// and of Pool.Verify alone, equals the per-snapshot Verifier's — on the
+// snapshot each provider serves at the instant and on its latest, with
+// and without a DNS name, and at the snapshot's own date when no instant
+// is given — and the shared build decides most of them.
 func TestSharedPathMatchesPerStore(t *testing.T) {
 	eco, err := synth.Cached("tracing-your-roots")
 	if err != nil {
@@ -170,38 +175,52 @@ func TestSharedPathMatchesPerStore(t *testing.T) {
 		return verifiers[s]
 	}
 	cases := corpusCases(t, eco)
-	var judged, fallback, declined, diffs int
+	instants := append([]time.Time{{}}, oracleInstants...)
+	var verdicts, judged, fallback, declined, diffs int
 	outcomes := map[Outcome]int{}
+	check := func(what string, got, want Result) {
+		if d := sameResult(got, want); d != "" {
+			diffs++
+			t.Errorf("%s: %s", what, d)
+		}
+	}
 	for _, c := range cases {
-		for _, at := range oracleInstants {
-			req := Request{Leaf: c.leaf, Intermediates: c.inter, Purpose: store.ServerAuth, DNSName: c.dns, At: at}
-			req.InterPool = PoolIntermediates(c.inter)
-			chains := pool.Build(req)
-			if chains == nil {
-				declined++
-			}
-			for _, p := range eco.DB.Providers() {
-				snap := eco.DB.History(p).At(at)
-				if snap == nil {
-					continue
+		for _, dns := range dnsVariants(c) {
+			for _, at := range instants {
+				req := Request{Leaf: c.leaf, Intermediates: c.inter, Purpose: store.ServerAuth, DNSName: dns, At: at}
+				req.InterPool = PoolIntermediates(c.inter)
+				var chains *Chains
+				if !at.IsZero() {
+					if chains = pool.Build(req); chains == nil {
+						declined++
+					}
 				}
-				want := verifier(snap).Verify(req)
-				got, shared := sharedVerdict(chains, verifier(snap), snap, req)
-				if shared {
-					judged++
-				} else {
-					fallback++
-				}
-				outcomes[want.Outcome]++
-				if d := sameResult(got, want); d != "" {
-					diffs++
-					t.Errorf("%s at %s in %s: %s", c.name, at.Format("2006-01-02"), snap.Key(), d)
+				for _, p := range eco.DB.Providers() {
+					h := eco.DB.History(p)
+					snaps := []*store.Snapshot{h.Latest()}
+					if s := h.At(at); s != nil && s != h.Latest() {
+						snaps = append(snaps, s)
+					}
+					for _, snap := range snaps {
+						what := fmt.Sprintf("%s dns %q at %s in %s", c.name, dns, at.Format("2006-01-02"), snap.Key())
+						want := verifier(snap).Verify(req)
+						got, shared := sharedVerdict(pool, chains, snap, req)
+						if shared {
+							judged++
+						} else {
+							fallback++
+						}
+						verdicts++
+						outcomes[want.Outcome]++
+						check(what, got, want)
+						check(what+", Pool.Verify", pool.Verify(snap, req), want)
+					}
 				}
 			}
 		}
 	}
-	t.Logf("%d cases × %d instants: %d verdicts judged from shared builds, %d per store (%d builds declined), outcomes %v",
-		len(cases), len(oracleInstants), judged, fallback, declined, outcomes)
+	t.Logf("%d cases, %d verdicts: %d judged from shared builds, %d per store (%d builds declined), outcomes %v",
+		len(cases), verdicts, judged, fallback, declined, outcomes)
 	if diffs > 0 {
 		t.Fatalf("%d verdicts differ", diffs)
 	}
@@ -215,13 +234,49 @@ func TestSharedPathMatchesPerStore(t *testing.T) {
 	}
 }
 
+// dnsVariants returns the DNS names a case is verified with: none, and
+// the case's own (a mismatch) or else the leaf's first name.
+func dnsVariants(c oracleCase) []string {
+	switch {
+	case c.dns != "":
+		return []string{"", c.dns}
+	case len(c.leaf.DNSNames) > 0:
+		return []string{"", c.leaf.DNSNames[0]}
+	}
+	return []string{""}
+}
+
 // TestSharedPathDeclinesRootLeaf covers x509's short cut for a leaf that
-// is itself in the roots pool: the shared build declines.
+// is itself in the roots pool: the shared build declines, and Pool.Verify
+// takes the short cut too — for a held cross certificate, whose issuer's
+// root would otherwise anchor it, as for a self-signed root.
 func TestSharedPathDeclinesRootLeaf(t *testing.T) {
 	entries := testcerts.Entries(3, store.ServerAuth)
 	pool := NewPool(distinctOf(snapWith(t, entries...)))
 	if c := pool.Build(Request{Leaf: entries[1].Cert, At: ts(2020, 1, 1)}); c != nil {
 		t.Fatal("a leaf in the pool must be verified per store")
+	}
+
+	roots := testcerts.Roots(2)
+	der, err := certgen.CrossSign(roots[0], roots[1], ts(2014, 1, 1), ts(2030, 1, 1))
+	cross := mustParse(t, der, err)
+	held, err := store.NewTrustedEntry(der, store.ServerAuth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer, err := store.NewEntry(roots[1].DER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer.SetTrust(store.ServerAuth, store.Distrusted)
+	snap := snapWith(t, held, issuer)
+	req := Request{Leaf: cross, Purpose: store.ServerAuth, At: ts(2020, 1, 1)}
+	want := New(snap).Verify(req)
+	if want.Outcome != OK || want.Anchor.Fingerprint != held.Fingerprint {
+		t.Fatalf("fixture: held cross certificate verifies %v at %v", want.Outcome, want.Anchor)
+	}
+	if d := sameResult(NewPool(distinctOf(snap)).Verify(snap, req), want); d != "" {
+		t.Errorf("held cross certificate, Pool.Verify: %s", d)
 	}
 }
 
@@ -257,15 +312,19 @@ func TestSharedPathSignatureBudget(t *testing.T) {
 
 	for _, n := range []int{maxSignatureChecks, maxSignatureChecks + 1} {
 		all := snapWith(t, roots[:n]...)
-		chains := NewPool(distinctOf(all)).Build(req)
+		pool := NewPool(distinctOf(all))
+		chains := pool.Build(req)
 		if (chains == nil) != (n > maxSignatureChecks) {
 			t.Fatalf("%d same-name roots: shared build declined = %v", n, chains == nil)
 		}
 		for _, snap := range []*store.Snapshot{small, other, all} {
-			v := New(snap)
-			got, _ := sharedVerdict(chains, v, snap, req)
-			if d := sameResult(got, v.Verify(req)); d != "" {
+			want := New(snap).Verify(req)
+			got, _ := sharedVerdict(pool, chains, snap, req)
+			if d := sameResult(got, want); d != "" {
 				t.Errorf("%d same-name roots, %d-root store: %s", n, snap.Len(), d)
+			}
+			if d := sameResult(pool.Verify(snap, req), want); d != "" {
+				t.Errorf("%d same-name roots, %d-root store, Pool.Verify: %s", n, snap.Len(), d)
 			}
 		}
 	}
@@ -274,7 +333,7 @@ func TestSharedPathSignatureBudget(t *testing.T) {
 // TestSharedPathKeepsCandidateOrder pins the candidate order: two roots
 // with one name and one key (a re-issued root) both anchor the leaf, and
 // the anchor a store reports is the first in fingerprint order — the one
-// its own pool offers first — on the shared path too.
+// its own pool offers first — on the shared path and Pool.Verify too.
 func TestSharedPathKeepsCandidateOrder(t *testing.T) {
 	var twins []*store.TrustEntry
 	var issuer *certgen.Root
@@ -297,7 +356,8 @@ func TestSharedPathKeepsCandidateOrder(t *testing.T) {
 	leaf := mustParse(t, der, err)
 	req := Request{Leaf: leaf, Purpose: store.ServerAuth, At: ts(2020, 1, 1)}
 	both := snapWith(t, twins...)
-	chains := NewPool(distinctOf(both)).Build(req)
+	pool := NewPool(distinctOf(both))
+	chains := pool.Build(req)
 	if chains == nil || chains.Len() != 2 {
 		t.Fatalf("want two shared chains, got %v", chains)
 	}
@@ -306,14 +366,16 @@ func TestSharedPathKeepsCandidateOrder(t *testing.T) {
 		first = twins[1]
 	}
 	for _, snap := range []*store.Snapshot{both, snapWith(t, twins[0]), snapWith(t, twins[1])} {
-		v := New(snap)
-		want := v.Verify(req)
-		got, shared := sharedVerdict(chains, v, snap, req)
+		want := New(snap).Verify(req)
+		got, shared := sharedVerdict(pool, chains, snap, req)
 		if !shared {
 			t.Errorf("%d-root store: not judged from the shared build", snap.Len())
 		}
 		if d := sameResult(got, want); d != "" {
 			t.Errorf("%d-root store: %s", snap.Len(), d)
+		}
+		if d := sameResult(pool.Verify(snap, req), want); d != "" {
+			t.Errorf("%d-root store, Pool.Verify: %s", snap.Len(), d)
 		}
 	}
 	if res := New(both).Verify(req); res.Anchor == nil || res.Anchor.Fingerprint != first.Fingerprint {
@@ -345,13 +407,18 @@ func TestAddingUntrustedRootNeverGrantsOK(t *testing.T) {
 				continue
 			}
 			added.Add(e)
-			chains := NewPool(distinctOf(added)).Build(req)
-			got, _ := sharedVerdict(chains, New(added), added, req)
-			if got.Outcome == OK {
+			pool := NewPool(distinctOf(added))
+			want := New(added).Verify(req)
+			got, _ := sharedVerdict(pool, pool.Build(req), added, req)
+			direct := pool.Verify(added, req)
+			if got.Outcome == OK || direct.Outcome == OK {
 				t.Errorf("adding %s at %v turned the verdict ok", r.Spec.Name, level)
 			}
-			if d := sameResult(got, New(added).Verify(req)); d != "" {
+			if d := sameResult(got, want); d != "" {
 				t.Errorf("adding %s at %v: %s", r.Spec.Name, level, d)
+			}
+			if d := sameResult(direct, want); d != "" {
+				t.Errorf("adding %s at %v, Pool.Verify: %s", r.Spec.Name, level, d)
 			}
 		}
 	}
@@ -399,7 +466,7 @@ func TestRemovingOffChainRootKeepsVerdict(t *testing.T) {
 				}
 				removed := snap.ShareClone()
 				removed.Remove(e.Fingerprint)
-				got, _ := sharedVerdict(chains, New(removed), removed, req)
+				got, _ := sharedVerdict(pool, chains, removed, req)
 				if d := sameResult(got, before); d != "" {
 					t.Errorf("%s in %s without %s: %s", c.name, snap.Key(), e.Fingerprint.Short(), d)
 				}
@@ -414,4 +481,93 @@ func TestRemovingOffChainRootKeepsVerdict(t *testing.T) {
 		t.Fatal("no removal checked")
 	}
 	t.Logf("%d removals checked", checked)
+}
+
+// TestCutoffShiftIsMonotone is the third metamorphic property, over the
+// corpus's Symantec cohort: moving every server-auth distrust-after
+// cutoff of a store later never turns an ok verdict into another outcome,
+// and moving them earlier never grants ok — per store and on the serving
+// path, which also agree with each other on the shifted store.
+func TestCutoffShiftIsMonotone(t *testing.T) {
+	eco, err := synth.Cached("tracing-your-roots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(eco.DB.DistinctEntries())
+	cohort := map[string]bool{}
+	eco.DB.History("NSS").At(ts(2020, 9, 15)).Each(func(e *store.TrustEntry) {
+		if _, partial := e.DistrustAfterFor(store.ServerAuth); partial {
+			if ca := eco.Universe.Lookup(e.Label); ca != nil {
+				cohort[ca.Name] = true
+			}
+		}
+	})
+	const day = 24 * time.Hour
+	shifts := []time.Duration{-10 * 365 * day, -365 * day, -day, day, 365 * day, 10 * 365 * day}
+	var checked, revoked, granted int
+	for _, c := range corpusCases(t, eco) {
+		if _, ca, _ := strings.Cut(c.name, "/"); !cohort[ca] || c.dns != "" {
+			continue
+		}
+		for _, at := range oracleInstants {
+			req := Request{Leaf: c.leaf, Intermediates: c.inter, Purpose: store.ServerAuth, At: at}
+			chains := pool.Build(req)
+			for _, p := range eco.DB.Providers() {
+				snap := eco.DB.History(p).At(at)
+				if snap == nil || !hasCutoff(snap) {
+					continue
+				}
+				before := New(snap).Verify(req)
+				for _, d := range shifts {
+					shifted := shiftCutoffs(snap, d)
+					after := New(shifted).Verify(req)
+					served, _ := sharedVerdict(pool, chains, shifted, req)
+					what := fmt.Sprintf("%s at %s in %s, cutoffs %+dd", c.name, at.Format("2006-01-02"), snap.Key(), d/day)
+					if diff := sameResult(served, after); diff != "" {
+						t.Errorf("%s: serving path: %s", what, diff)
+					}
+					switch {
+					case d > 0 && before.Outcome == OK && after.Outcome != OK:
+						t.Errorf("%s: a later cutoff turned ok into %v", what, after.Outcome)
+					case d < 0 && before.Outcome != OK && after.Outcome == OK:
+						t.Errorf("%s: an earlier cutoff turned %v into ok", what, before.Outcome)
+					case d > 0 && before.Outcome != OK && after.Outcome == OK:
+						granted++
+					case d < 0 && before.Outcome == OK && after.Outcome != OK:
+						revoked++
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d shifted verdicts: %d granted by a later cutoff, %d revoked by an earlier one", checked, granted, revoked)
+	if granted == 0 || revoked == 0 {
+		t.Fatalf("no shift changed a verdict (%d granted, %d revoked): the property is untested", granted, revoked)
+	}
+}
+
+// hasCutoff reports whether snap holds a server-auth distrust-after cutoff.
+func hasCutoff(snap *store.Snapshot) bool {
+	found := false
+	snap.Each(func(e *store.TrustEntry) {
+		_, partial := e.DistrustAfterFor(store.ServerAuth)
+		found = found || partial
+	})
+	return found
+}
+
+// shiftCutoffs returns a copy of snap with every server-auth
+// distrust-after cutoff moved by d. Filed entries are immutable, so each
+// shifted entry is a fresh clone.
+func shiftCutoffs(snap *store.Snapshot, d time.Duration) *store.Snapshot {
+	out := snap.ShareClone()
+	snap.Each(func(e *store.TrustEntry) {
+		if cutoff, partial := e.DistrustAfterFor(store.ServerAuth); partial {
+			fresh := e.Clone()
+			fresh.SetDistrustAfter(store.ServerAuth, cutoff.Add(d))
+			out.Add(fresh)
+		}
+	})
+	return out
 }
